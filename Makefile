@@ -38,8 +38,13 @@ lint-tools:
 # installed (at the pinned versions above, via `make lint-tools`). The
 # multichecker is the hard gate; the external tools are best-effort so
 # the target works on a bare toolchain. `ibridge-vet -json` emits the
-# same findings machine-readably for CI annotation.
+# same findings machine-readably for CI annotation. First, every Go
+# file in the tree (tracked, or new and not ignored) must be gofmt-clean.
 lint:
+	@unformatted=$$(gofmt -l $$(git ls-files --cached --others --exclude-standard '*.go')); \
+	if [ -n "$$unformatted" ]; then \
+		echo "lint: gofmt -l lists files that need formatting:"; echo "$$unformatted"; exit 1; \
+	fi
 	$(GO) run ./cmd/ibridge-vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \

@@ -161,6 +161,7 @@ func main() {
 		reg.RegisterFunc("pfs.fragment_writes", func() float64 { return float64(ds.Stats().FragmentWrites) })
 		reg.RegisterFunc("pfs.fragment_reads", func() float64 { return float64(ds.Stats().FragmentReads) })
 		reg.RegisterFunc("pfs.log_bytes", func() float64 { return float64(ds.Stats().LogBytes) })
+		reg.RegisterFunc("pfs.log_live_bytes", func() float64 { return float64(ds.Stats().LogLiveBytes) })
 		if logStore != nil {
 			// The logstore.* counters and gauges live in the shared
 			// registry already; the generation is the one piece of state
@@ -181,8 +182,8 @@ func main() {
 		go func() {
 			for range time.Tick(*stats) {
 				s := ds.Stats()
-				log.Printf("pfs-server: reads=%d writes=%d fragWrites=%d fragReads=%d logBytes=%d",
-					s.Reads, s.Writes, s.FragmentWrites, s.FragmentReads, s.LogBytes)
+				log.Printf("pfs-server: reads=%d writes=%d fragWrites=%d fragReads=%d logBytes=%d logLive=%d",
+					s.Reads, s.Writes, s.FragmentWrites, s.FragmentReads, s.LogBytes, s.LogLiveBytes)
 			}
 		}()
 	}

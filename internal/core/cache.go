@@ -307,5 +307,3 @@ func (m *extentMap) punch(lbn, sectors int64, addMRU func(*entry)) punched {
 
 // Len returns the number of cached extents.
 func (m *extentMap) Len() int { return len(m.entries) }
-
-

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"sort"
 	"time"
+
+	"repro/internal/extent"
 )
 
 // Checkpoint file format. The checkpoint is the serialized mapping
@@ -66,13 +68,13 @@ func (s *LogStore) encodeCheckpointLocked() []byte {
 		o := s.objects[id]
 		buf = binary.BigEndian.AppendUint64(buf, id)
 		buf = binary.BigEndian.AppendUint64(buf, uint64(o.size))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(len(o.ext)))
-		for _, e := range o.ext {
-			buf = binary.BigEndian.AppendUint64(buf, uint64(e.off))
-			buf = binary.BigEndian.AppendUint64(buf, uint64(e.n))
-			buf = binary.BigEndian.AppendUint64(buf, e.seg)
-			buf = binary.BigEndian.AppendUint64(buf, uint64(e.pos))
-			buf = binary.BigEndian.AppendUint64(buf, e.gen)
+		buf = binary.BigEndian.AppendUint64(buf, uint64(o.ext.Len()))
+		for _, e := range o.ext.Extents() {
+			buf = binary.BigEndian.AppendUint64(buf, uint64(e.Off))
+			buf = binary.BigEndian.AppendUint64(buf, uint64(e.N))
+			buf = binary.BigEndian.AppendUint64(buf, e.Val.seg)
+			buf = binary.BigEndian.AppendUint64(buf, uint64(e.Val.pos))
+			buf = binary.BigEndian.AppendUint64(buf, e.Val.gen)
 		}
 	}
 	return binary.BigEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
@@ -172,16 +174,14 @@ func loadCheckpoint(path string) (ck checkpointState, ok bool) {
 		if size < 0 || nExt > uint64(len(r))/(5*8) {
 			return checkpointState{}, false
 		}
-		o := &object{size: size, ext: make([]extent, 0, nExt)}
-		var prevEnd int64
+		o := &object{size: size}
 		for range nExt {
-			e := extent{off: int64(u64()), n: int64(u64()), seg: u64(), pos: int64(u64()), gen: u64()}
-			if e.off < prevEnd || e.n <= 0 || e.pos < segHeaderLen || e.off+e.n > size {
+			e := extent.Extent[loc]{Off: int64(u64()), N: int64(u64())}
+			e.Val = loc{seg: u64(), pos: int64(u64()), gen: u64()}
+			if e.Val.pos < segHeaderLen || e.End() > size || !o.ext.Append(e) {
 				return checkpointState{}, false
 			}
-			prevEnd = e.off + e.n
-			o.ext = append(o.ext, e)
-			ck.liveBytes += e.n
+			ck.liveBytes += e.N
 		}
 		if _, dup := ck.objects[id]; dup {
 			return checkpointState{}, false

@@ -104,20 +104,21 @@ func (s *LogStore) compactLocked() error {
 	var data []byte
 	for _, id := range sortedKeys(s.objects) {
 		o := s.objects[id]
-		for i := range o.ext {
-			e := &o.ext[i]
-			if int64(cap(data)) < e.n {
-				data = make([]byte, e.n)
+		exts := o.ext.Extents()
+		for i := range exts {
+			e := &exts[i]
+			if int64(cap(data)) < e.N {
+				data = make([]byte, e.N)
 			}
-			d := data[:e.n]
-			if _, err := s.segs[e.seg].ReadAt(d, e.pos); err != nil {
+			d := data[:e.N]
+			if _, err := s.segs[e.Val.seg].ReadAt(d, e.Val.pos); err != nil {
 				return err
 			}
-			frame = appendRecord(frame[:0], record{kind: recKindWrite, gen: s.gen, file: id, off: e.off, data: d})
+			frame = appendRecord(frame[:0], record{kind: recKindWrite, gen: s.gen, file: id, off: e.Off, data: d})
 			if _, err := f.WriteAt(frame, tail); err != nil {
 				return err
 			}
-			e.seg, e.pos, e.gen = newSeq, tail+recOverhead, s.gen
+			e.Val = loc{seg: newSeq, pos: tail + recOverhead, gen: s.gen}
 			tail += int64(len(frame))
 		}
 	}

@@ -54,8 +54,37 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/extent"
 	"repro/internal/obs"
 )
+
+// loc is where an extent's current bytes live in the log.
+type loc struct {
+	seg uint64 // segment holding the data
+	pos int64  // absolute offset of the first data byte in seg
+	gen uint64 // generation of the record that wrote it
+}
+
+// Trim implements extent.Value: a sub-range starts skip bytes further
+// into the same record.
+func (l loc) Trim(skip, _ int64) loc {
+	l.pos += skip
+	return l
+}
+
+// object is the in-memory index of one stored object: its logical size
+// (monotone, sparse-write semantics) and its extents over the log.
+type object struct {
+	size int64
+	ext  extent.Map[loc]
+}
+
+// insert records that the n bytes at off now live at l, growing the
+// logical size, and returns the bytes it superseded (now log garbage).
+func (o *object) insert(off, n int64, l loc) (dead int64) {
+	o.size = max(o.size, off+n)
+	return o.ext.Insert(off, n, l)
+}
 
 // ErrCrashed reports an operation against a store whose simulated
 // process kill (CrashAppend) has already fired: the store is dead
@@ -165,9 +194,9 @@ type LogStore struct {
 	appends atomic.Int64 // record appends; read lock-free by pfsnet's ssdfail trigger
 
 	st struct {
-		appendedBytes, checkpoints, replays, replayedRecords  int64
-		truncatedTails, badGenerations, badCheckpoints        int64
-		compactionRuns, deviceFailures                        int64
+		appendedBytes, checkpoints, replays, replayedRecords int64
+		truncatedTails, badGenerations, badCheckpoints       int64
+		compactionRuns, deviceFailures                       int64
 	}
 	oc *obsCounters
 
@@ -288,8 +317,8 @@ func (s *LogStore) recover() error {
 	if ckOK {
 		refs = map[uint64]bool{ck.seg: true}
 		for _, o := range ck.objects {
-			for _, e := range o.ext {
-				refs[e.seg] = true
+			for _, e := range o.ext.Extents() {
+				refs[e.Val.seg] = true
 			}
 		}
 		for _, seq := range sortedKeys(refs) {
@@ -482,10 +511,7 @@ func (s *LogStore) replaySegment(seq uint64, from int64, wantGen uint64, strict 
 			o = &object{}
 			s.objects[rec.file] = o
 		}
-		dead := o.insert(extent{
-			off: rec.off, n: int64(len(rec.data)),
-			seg: seq, pos: pos + recOverhead, gen: rec.gen,
-		})
+		dead := o.insert(rec.off, int64(len(rec.data)), loc{seg: seq, pos: pos + recOverhead, gen: rec.gen})
 		s.liveBytes += int64(len(rec.data)) - dead
 		s.dataBytes += int64(len(rec.data))
 		lastGen = rec.gen
@@ -551,10 +577,7 @@ func (s *LogStore) WriteAt(file uint64, off int64, data []byte) error {
 		o = &object{}
 		s.objects[file] = o
 	}
-	dead := o.insert(extent{
-		off: off, n: int64(len(data)),
-		seg: s.active, pos: s.tail + recOverhead, gen: s.gen,
-	})
+	dead := o.insert(off, int64(len(data)), loc{seg: s.active, pos: s.tail + recOverhead, gen: s.gen})
 	s.liveBytes += int64(len(data)) - dead
 	s.dataBytes += int64(len(data))
 	s.tail += int64(len(frame))
@@ -628,11 +651,11 @@ func (s *LogStore) readLocked(file uint64, off int64, p []byte) error {
 		return nil
 	}
 	var err error
-	o.each(off, int64(len(p)), func(e extent, dst int64) {
+	o.ext.Each(off, int64(len(p)), func(e extent.Extent[loc]) {
 		if err != nil {
 			return
 		}
-		if _, rerr := s.segs[e.seg].ReadAt(p[dst:dst+e.n], e.pos); rerr != nil {
+		if _, rerr := s.segs[e.Val.seg].ReadAt(p[e.Off-off:e.End()-off], e.Val.pos); rerr != nil {
 			err = rerr
 		}
 	})

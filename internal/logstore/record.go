@@ -29,8 +29,8 @@ import (
 const (
 	recKindWrite = 1
 
-	recHeaderLen = 8                 // length + crc
-	recBodyFixed = 1 + 8 + 8 + 8     // kind + generation + file + off
+	recHeaderLen = 8             // length + crc
+	recBodyFixed = 1 + 8 + 8 + 8 // kind + generation + file + off
 	recOverhead  = recHeaderLen + recBodyFixed
 
 	// MaxRecordData bounds one record's payload. Anything larger in a

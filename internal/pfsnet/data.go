@@ -7,28 +7,16 @@ import (
 	"log"
 	"net"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/extent"
 	"repro/internal/faults"
 	"repro/internal/obs"
 )
 
-// DataServer stores the per-server striped objects and serves read/write
-// sub-requests over TCP. When Bridge is enabled, flagged sub-requests
-// (fragments and regular random requests) are written to a log region
-// with a mapping table — the functional analogue of iBridge's SSD cache —
-// and drained back to the object store on Flush or overwrite.
-//
-// Each v2 connection runs a small pipeline: the connection goroutine
-// demuxes tagged frames into a bounded worker pool, the workers execute
-// handlers concurrently, and a single response-writer goroutine streams
-// the tagged replies back through a corked bufio.Writer. Server state is
-// split so independent requests do not serialize behind one lock: the
-// fragment log and its mapping table are guarded by logMu, counters are
-// atomic, and object-store I/O runs outside both.
 // DurableStore is the optional crash-consistency extension of
 // ObjectStore that logstore.LogStore implements. A data server whose
 // store satisfies it folds the store's record appends into the fault
@@ -46,6 +34,34 @@ type DurableStore interface {
 	FailDevice() error
 }
 
+// DataServer stores the per-server striped objects and serves read/write
+// sub-requests over TCP. When Bridge is enabled, flagged sub-requests
+// (fragments and regular random requests) go to the fragment log — the
+// functional analogue of iBridge's SSD cache — and are written back to
+// the object store only by a flush.
+//
+// The fragment log is one extent index (internal/extent) per file: each
+// live extent holds a private copy of the bytes a write carried. A newer
+// write supersedes the bytes it overlaps, which are dropped on the spot,
+// so the log indexes at most one copy of each logical byte (a trimmed
+// extent keeps its buffer until the rest of it goes). Reads overlay
+// the extents in their range, found by binary search, on top of the
+// store's bytes.
+//
+// Each v2 connection runs a small pipeline: the connection goroutine
+// demuxes tagged frames into a bounded worker pool, the workers execute
+// handlers concurrently, and a single response-writer goroutine streams
+// the tagged replies back. Server state is split so independent requests
+// do not serialize behind one lock: the fragment log is guarded by the
+// read-write logMu, counters are atomic, and the read and write paths do
+// their object-store I/O with no lock held (DESIGN §8). A direct write
+// that overlaps logged fragments runs in two phases: it first inserts a
+// copy of the overlapped span under a fresh id, then writes the store
+// unlocked, then punches whatever still carries its id. Because a read's
+// store access and its overlay are not atomic, logGen counts every event
+// that moves bytes out of the log (a flush or a punch) and a read that
+// sees it change retries its store read. Flush is the one path that
+// writes the store under logMu.
 type DataServer struct {
 	ln        net.Listener
 	bridge    bool
@@ -69,11 +85,12 @@ type DataServer struct {
 	ssdDown      atomic.Bool
 	ssdFailAfter int64 // fragment-log writes until the device fails; 0 = never
 
-	// logMu guards the iBridge log region and its mapping table only;
-	// object-store reads and writes happen outside it.
-	logMu   sync.Mutex
-	logData []byte // the "SSD" log region
-	table   map[extKey]extVal
+	// logMu guards the fragment log: frags, fragSeq, and the bumps of
+	// logGen (which readers may load without it).
+	logMu   sync.RWMutex
+	frags   map[uint64]*extent.Map[frag] // per-file extent index; no empty maps
+	fragSeq uint64                       // last id handed to a direct write's span
+	logGen  atomic.Uint64                // bumped whenever log bytes leave the log
 
 	ctr       dataCounters
 	wg        sync.WaitGroup
@@ -132,10 +149,15 @@ type ServerConfig struct {
 
 // DataStats counts server activity.
 type DataStats struct {
-	Reads, Writes      int64
-	FragmentWrites     int64
-	FragmentReads      int64
+	Reads, Writes  int64
+	FragmentWrites int64
+	FragmentReads  int64
+	// LogBytes is the cumulative number of bytes flagged writes appended
+	// to the fragment log; LogLiveBytes and LogExtents are what the log
+	// holds now, after supersession and flushes.
 	LogBytes           int64
+	LogLiveBytes       int64
+	LogExtents         int64
 	Flushes            int64
 	FlushedBytes       int64
 	ReadBytes, WrBytes int64
@@ -156,6 +178,8 @@ type dataCounters struct {
 	fragmentWrites     atomic.Int64
 	fragmentReads      atomic.Int64
 	logBytes           atomic.Int64
+	logLive            atomic.Int64
+	logExtents         atomic.Int64
 	flushes            atomic.Int64
 	flushedBytes       atomic.Int64
 	readBytes, wrBytes atomic.Int64
@@ -164,14 +188,18 @@ type dataCounters struct {
 	directReads        atomic.Int64
 }
 
-type extKey struct {
-	file uint64
-	off  int64
+// frag is the value of a fragment-log extent: a private copy of the
+// bytes a write carried, and the id of the direct write whose span it
+// is (0 for flagged writes).
+type frag struct {
+	data []byte
+	id   uint64
 }
 
-type extVal struct {
-	logOff int64
-	length int64
+// Trim implements extent.Value. A trimmed fragment shares its original's
+// buffer.
+func (f frag) Trim(skip, n int64) frag {
+	return frag{data: f.data[skip : skip+n : skip+n], id: f.id}
 }
 
 // NewDataServer starts a data server listening on addr (use
@@ -193,6 +221,16 @@ func NewDataServerConfig(addr string, cfg ServerConfig) (*DataServer, error) {
 	if err != nil {
 		return nil, err
 	}
+	s := newDataServer(cfg)
+	s.ln = cfg.FaultPlan.WrapListener(ln, cfg.FaultScope)
+	s.wg.Add(1)
+	go s.accept()
+	return s, nil
+}
+
+// newDataServer builds the server state without a listener; the request
+// handlers run against it directly.
+func newDataServer(cfg ServerConfig) *DataServer {
 	store := cfg.Store
 	if store == nil {
 		store = NewMemStore()
@@ -219,7 +257,6 @@ func NewDataServerConfig(addr string, cfg ServerConfig) (*DataServer, error) {
 		features |= featCancel
 	}
 	s := &DataServer{
-		ln:        cfg.FaultPlan.WrapListener(ln, cfg.FaultScope),
 		bridge:    cfg.Bridge,
 		store:     store,
 		workers:   workers,
@@ -230,7 +267,7 @@ func NewDataServerConfig(addr string, cfg ServerConfig) (*DataServer, error) {
 		tracer:    cfg.Tracer,
 		features:  features,
 		plan:      cfg.FaultPlan,
-		table:     make(map[extKey]extVal),
+		frags:     make(map[uint64]*extent.Map[frag]),
 		quit:      make(chan struct{}),
 		conns:     make(map[net.Conn]struct{}),
 	}
@@ -240,9 +277,7 @@ func NewDataServerConfig(addr string, cfg ServerConfig) (*DataServer, error) {
 	if n, ok := cfg.FaultPlan.SSDFailWrites(cfg.FaultScope); ok {
 		s.ssdFailAfter = n
 	}
-	s.wg.Add(1)
-	go s.accept()
-	return s, nil
+	return s
 }
 
 // Addr returns the server's listen address.
@@ -256,6 +291,8 @@ func (s *DataServer) Stats() DataStats {
 		FragmentWrites:  s.ctr.fragmentWrites.Load(),
 		FragmentReads:   s.ctr.fragmentReads.Load(),
 		LogBytes:        s.ctr.logBytes.Load(),
+		LogLiveBytes:    s.ctr.logLive.Load(),
+		LogExtents:      s.ctr.logExtents.Load(),
 		Flushes:         s.ctr.flushes.Load(),
 		FlushedBytes:    s.ctr.flushedBytes.Load(),
 		ReadBytes:       s.ctr.readBytes.Load(),
@@ -299,7 +336,7 @@ func (s *DataServer) Close() error {
 	return err
 }
 
-// FlushLog drains every mapped log extent back to the object store, in
+// FlushLog drains every live log extent back to the object store, in
 // (file, offset) order — the iBridge writeback at program termination.
 func (s *DataServer) FlushLog() error {
 	s.logMu.Lock()
@@ -307,35 +344,36 @@ func (s *DataServer) FlushLog() error {
 	return s.flushLocked(0, true)
 }
 
-// flushLocked writes back mapped extents (logMu held). If all is false,
-// only extents of the given file are drained.
+// flushLocked writes back live extents in ascending offset order and
+// drops them from the log (logMu held). If all is false, only extents
+// of the given file are drained. A file leaves the log only once all of
+// its extents are in the store, so a failed flush loses nothing.
 func (s *DataServer) flushLocked(file uint64, all bool) error {
-	type hit struct {
-		k extKey
-		v extVal
-	}
-	var hits []hit
-	for k, v := range s.table {
-		if all || k.file == file {
-			hits = append(hits, hit{k, v})
+	files := []uint64{file}
+	if all {
+		files = files[:0]
+		for f := range s.frags {
+			files = append(files, f)
 		}
+		slices.Sort(files)
 	}
-	sort.Slice(hits, func(i, j int) bool {
-		if hits[i].k.file != hits[j].k.file {
-			return hits[i].k.file < hits[j].k.file
+	for _, f := range files {
+		m := s.frags[f]
+		if m == nil {
+			continue
 		}
-		return hits[i].k.off < hits[j].k.off
-	})
-	for _, h := range hits {
-		data := s.logData[h.v.logOff : h.v.logOff+h.v.length]
-		if err := s.store.WriteAt(h.k.file, h.k.off, data); err != nil {
-			return err
+		var n int64
+		for _, e := range m.Extents() {
+			if err := s.store.WriteAt(f, e.Off, e.Val.data); err != nil {
+				return err
+			}
+			n += e.N
 		}
-		delete(s.table, h.k)
-		s.ctr.flushedBytes.Add(h.v.length)
-	}
-	if all && len(s.table) == 0 {
-		s.logData = s.logData[:0] // log reclaimed
+		delete(s.frags, f)
+		s.logGen.Add(1)
+		s.ctr.logLive.Add(-n)
+		s.ctr.logExtents.Add(-int64(m.Len()))
+		s.ctr.flushedBytes.Add(n)
 	}
 	s.ctr.flushes.Add(1)
 	return nil
@@ -650,38 +688,23 @@ func (s *DataServer) handleWrite(payload []byte) ([]byte, error) {
 	s.ctr.writes.Add(1)
 	s.ctr.wrBytes.Add(int64(len(data)))
 	if s.bridge && flags&1 != 0 && !s.ssdDown.Load() {
-		// iBridge path: append to the log, record the mapping, and
-		// invalidate overlapped older mappings.
-		s.logMu.Lock()
-		defer s.logMu.Unlock()
-		if err := s.invalidateLocked(file, off, int64(len(data))); err != nil {
-			return nil, err
-		}
-		logOff := int64(len(s.logData))
-		s.logData = append(s.logData, data...)
-		s.table[extKey{file, off}] = extVal{logOff: logOff, length: int64(len(data))}
-		s.ctr.fragmentWrites.Add(1)
-		s.ctr.logBytes.Add(int64(len(data)))
-		if s.ssdFailAfter > 0 && s.ssdWriteCount() >= s.ssdFailAfter {
-			// The scheduled device failure trips on this write: drain the
-			// log (this write included) and degrade to the direct path.
-			if err := s.failSSDLocked(); err != nil {
-				return nil, err
-			}
-		}
-		return nil, nil
+		return nil, s.logFragment(file, off, data)
 	}
-	// Direct path; the write also supersedes any cached mapping. The
-	// store write itself runs outside logMu so independent files don't
-	// serialize behind the log lock.
-	s.logMu.Lock()
-	err := s.invalidateLocked(file, off, int64(len(data)))
-	s.logMu.Unlock()
-	if err != nil {
-		return nil, err
+	// Direct path. The write supersedes any logged bytes it overlaps,
+	// but the store write runs outside logMu, so it takes two phases
+	// around it: coverSpan and punch.
+	var id uint64
+	var lo, hi int64
+	if s.bridge {
+		id, lo, hi = s.coverSpan(file, off, data)
 	}
 	if err := s.store.WriteAt(file, off, data); err != nil {
+		// The span stays logged: the log then holds the write's bytes
+		// there, as a store that failed partway would.
 		return nil, err
+	}
+	if id != 0 {
+		s.punch(file, lo, hi-lo, id)
 	}
 	// Log-backed stores append a record per write, and those appends
 	// count toward the scheduled device failure exactly like legacy
@@ -743,29 +766,110 @@ func (s *DataServer) FailSSD() error {
 // FailSSD) and the server is running degraded.
 func (s *DataServer) SSDFailed() bool { return s.ssdDown.Load() }
 
-// invalidateLocked drops log mappings overlapping [off, off+n), first
-// writing their current content back to the object so no data is lost
-// when a partial overwrite arrives through the direct path. logMu held.
-func (s *DataServer) invalidateLocked(file uint64, off, n int64) error {
-	type hit struct {
-		k extKey
-		v extVal
-	}
-	var hits []hit
-	for k, v := range s.table {
-		if k.file == file && k.off < off+n && off < k.off+v.length {
-			hits = append(hits, hit{k, v})
-		}
-	}
-	sort.Slice(hits, func(i, j int) bool { return hits[i].k.off < hits[j].k.off })
-	for _, h := range hits {
-		data := s.logData[h.v.logOff : h.v.logOff+h.v.length]
-		if err := s.store.WriteAt(h.k.file, h.k.off, data); err != nil {
-			return err
-		}
-		delete(s.table, h.k)
+// logFragment is the iBridge path of a flagged write: its bytes become
+// a log extent, and the older bytes they overlap are dropped.
+func (s *DataServer) logFragment(file uint64, off int64, data []byte) error {
+	buf := slices.Clone(data) // data lives in the pooled request frame
+	s.logMu.Lock()
+	defer s.logMu.Unlock()
+	s.insertLocked(file, off, frag{data: buf})
+	s.ctr.fragmentWrites.Add(1)
+	s.ctr.logBytes.Add(int64(len(data)))
+	if s.ssdFailAfter > 0 && s.ssdWriteCount() >= s.ssdFailAfter {
+		// The scheduled device failure trips on this write: drain the
+		// log (this write included) and degrade to the direct path.
+		return s.failSSDLocked()
 	}
 	return nil
+}
+
+// coverSpan is the first phase of a direct write of data at off: the
+// span from the first to the last logged byte the write overlaps is
+// replaced in the log by a copy of the new bytes, under a fresh id.
+// It returns the id and the span [lo, hi); id 0 means the write
+// overlaps nothing logged.
+func (s *DataServer) coverSpan(file uint64, off int64, data []byte) (id uint64, lo, hi int64) {
+	s.logMu.Lock()
+	defer s.logMu.Unlock()
+	m := s.frags[file]
+	if m == nil {
+		return 0, 0, 0
+	}
+	lo, hi = -1, -1
+	m.Each(off, int64(len(data)), func(e extent.Extent[frag]) {
+		if lo < 0 {
+			lo = e.Off
+		}
+		hi = e.End()
+	})
+	if hi <= lo {
+		return 0, 0, 0
+	}
+	s.fragSeq++
+	s.insertLocked(file, lo, frag{data: slices.Clone(data[lo-off : hi-off]), id: s.fragSeq})
+	return s.fragSeq, lo, hi
+}
+
+// punch is the last phase of a direct write, run once the store holds
+// its bytes: it removes the parts of file's [off, off+n) that still
+// carry the write's id. A flagged write that landed in between
+// superseded those bytes with newer ones, which stay. A read whose
+// store access predates the store write must now retry, so a punch
+// that removes anything bumps logGen.
+func (s *DataServer) punch(file uint64, off, n int64, id uint64) {
+	s.logMu.Lock()
+	defer s.logMu.Unlock()
+	m := s.frags[file]
+	if m == nil {
+		return // flushed meanwhile
+	}
+	before := m.Len()
+	removed := m.Punch(off, n, func(v frag) bool { return v.id == id })
+	if removed == 0 {
+		return
+	}
+	s.logGen.Add(1)
+	s.ctr.logLive.Add(-removed)
+	s.ctr.logExtents.Add(int64(m.Len() - before))
+	if m.Len() == 0 {
+		delete(s.frags, file)
+	}
+}
+
+// overlay copies file's logged extents in [off, off+len(out)) over out,
+// which holds the store's bytes, and reports true — unless log bytes
+// have left for the store since the caller loaded gen, before reading
+// the store: out may then predate them, and the caller must read the
+// store again.
+func (s *DataServer) overlay(file uint64, off int64, out []byte, gen uint64) bool {
+	s.logMu.RLock()
+	defer s.logMu.RUnlock()
+	if s.logGen.Load() != gen {
+		return false
+	}
+	var overlaid int64
+	if m := s.frags[file]; m != nil {
+		m.Each(off, int64(len(out)), func(e extent.Extent[frag]) {
+			copy(out[e.Off-off:], e.Val.data)
+			overlaid++
+		})
+	}
+	s.ctr.fragmentReads.Add(overlaid)
+	return true
+}
+
+// insertLocked makes v the logged contents of file at off, dropping the
+// bytes it supersedes (logMu held).
+func (s *DataServer) insertLocked(file uint64, off int64, v frag) {
+	m := s.frags[file]
+	if m == nil {
+		m = new(extent.Map[frag])
+		s.frags[file] = m
+	}
+	before := m.Len()
+	n := int64(len(v.data))
+	s.ctr.logLive.Add(n - m.Insert(off, n, v))
+	s.ctr.logExtents.Add(int64(m.Len() - before))
 }
 
 // cancelSet is the per-connection set of cancelled request tags
@@ -834,29 +938,24 @@ func (s *DataServer) handleRead(payload []byte) ([]byte, error) {
 	reply := getBuf(4 + int(length))
 	binary.BigEndian.PutUint32(reply[:4], uint32(length))
 	out := reply[4:]
+	gen := s.logGen.Load()
 	if err := s.store.ReadAt(file, off, out); err != nil {
 		putBuf(reply)
 		return nil, err
 	}
-	// Overlay any mapped log extents (they are newer than the object).
-	if s.bridge {
-		s.logMu.Lock()
-		for k, v := range s.table {
-			if k.file != file || k.off >= off+length || off >= k.off+v.length {
-				continue
-			}
-			from := max(k.off, off)
-			to := min(k.off+v.length, off+length)
-			copy(out[from-off:to-off], s.logData[v.logOff+(from-k.off):v.logOff+(to-k.off)])
-			s.ctr.fragmentReads.Add(1)
+	// Overlay the logged extents: they are newer than the store's bytes.
+	for s.bridge && !s.overlay(file, off, out, gen) {
+		gen = s.logGen.Load()
+		if err := s.store.ReadAt(file, off, out); err != nil {
+			putBuf(reply)
+			return nil, err
 		}
-		s.logMu.Unlock()
 	}
 	return reply, nil
 }
 
-// handleStat payload: file u64. Reply: objectLen i64, mappedExtents u32,
-// logBytes i64.
+// handleStat payload: file u64. Reply: objectLen i64, the file's live
+// log extents u32, and the live bytes in the whole log i64.
 func (s *DataServer) handleStat(payload []byte) ([]byte, error) {
 	d := dec{b: payload}
 	file := d.u64()
@@ -867,19 +966,16 @@ func (s *DataServer) handleStat(payload []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.logMu.Lock()
 	var mapped uint32
-	for k := range s.table {
-		if k.file == file {
-			mapped++
-		}
+	s.logMu.RLock()
+	if m := s.frags[file]; m != nil {
+		mapped = uint32(m.Len())
 	}
-	logLen := int64(len(s.logData))
-	s.logMu.Unlock()
+	s.logMu.RUnlock()
 	e := newEnc()
 	e.i64(objLen)
 	e.u32(mapped)
-	e.i64(logLen)
+	e.i64(s.ctr.logLive.Load())
 	return e.b, nil
 }
 

@@ -75,10 +75,11 @@ func (s *MemStore) ReadAt(file uint64, off int64, p []byte) error {
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	clear(p)
+	var n int
 	if o := s.objects[file]; off < int64(len(o)) {
-		copy(p, o[off:])
+		n = copy(p, o[off:])
 	}
+	clear(p[n:]) // only the part past the object's end
 	return nil
 }
 

@@ -23,11 +23,11 @@ type wireMetrics struct {
 	// syscalls, and how many payload bytes crossed the wire without an
 	// intermediate stream-buffer copy (large iovec payloads on the send
 	// side, scatter reads on the receive side).
-	writevCalls    *obs.Counter // vectored flushes submitted
-	writevFrames   *obs.Counter // frames carried by those flushes
-	writevBatch    *obs.Hist    // frames per vectored flush
-	copyAvoided    *obs.Counter // payload bytes moved with no intermediate copy
-	scatterReads   *obs.Counter // replies scattered straight into caller buffers
+	writevCalls  *obs.Counter // vectored flushes submitted
+	writevFrames *obs.Counter // frames carried by those flushes
+	writevBatch  *obs.Hist    // frames per vectored flush
+	copyAvoided  *obs.Counter // payload bytes moved with no intermediate copy
+	scatterReads *obs.Counter // replies scattered straight into caller buffers
 }
 
 // newWireMetrics resolves the endpoint's metrics in reg under prefix
