@@ -5,10 +5,9 @@
 //	pfs-meta -listen 127.0.0.1:7000 -unit 65536 \
 //	    -servers 127.0.0.1:7001,127.0.0.1:7002
 //
-// The server negotiates wire protocol v2 (tagged frames) with v2
-// clients automatically and keeps speaking v1 with legacy clients; no
-// flag is needed — metadata traffic is a handful of round trips per
-// file, so both versions are served by the same sequential loop.
+// The server runs the same per-connection serve path as the data
+// servers (hello, then pipelined tagged frames) with a single worker:
+// metadata traffic is a handful of round trips per file.
 //
 // With -debug-addr the server exposes its metrics registry over expvar:
 // GET http://<debug-addr>/debug/vars returns a JSON map holding the

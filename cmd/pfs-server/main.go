@@ -18,10 +18,9 @@
 // how much appended log triggers a mapping-table checkpoint for the
 // log store.
 //
-// The server speaks wire protocol v2 (pipelined, multiplexed tagged
-// frames) with v2 clients and falls back to v1 per connection; -workers
-// bounds the per-connection handler pool for pipelined connections, and
-// -max-proto 1 forces legacy single-round-trip behaviour.
+// Every connection opens with a hello and then runs pipelined,
+// multiplexed tagged frames; -workers bounds the per-connection handler
+// pool.
 //
 // With -debug-addr the server exposes its metrics registry over expvar:
 // GET http://<debug-addr>/debug/vars returns a JSON map holding the
@@ -30,7 +29,7 @@
 // queue wait).
 //
 // With -span-file the server arms an obs.XTracer named after its fault
-// scope: traced v2 clients propagate {traceID, parentSpanID} on the
+// scope: traced clients propagate {traceID, parentSpanID} on the
 // wire, and the per-request queue-wait/store/respond spans land in the
 // span file at shutdown. Merge the per-process files with
 // `ibridge-trace -merge`.
@@ -59,10 +58,7 @@ func main() {
 		storeKind  = flag.String("store", "", "backing store: mem (default), file, or log (crash-consistent; see DESIGN §14)")
 		storeDir   = flag.String("store-dir", "", "directory for the file or log store")
 		ckptBytes  = flag.Int64("checkpoint-bytes", 0, "log store: install a mapping-table checkpoint after this many appended log bytes (0 = default 4MiB, <0 = only on open/close)")
-		workers    = flag.Int("workers", 0, "per-connection handler pool size for pipelined (v2) connections (0 = default)")
-		maxProto   = flag.Int("max-proto", 0, "highest wire protocol version to negotiate (0 = latest, 1 = legacy)")
-		noVec      = flag.Bool("no-vectored", false, "respond through the corked bufio path instead of vectored (writev) submission")
-		noCancel   = flag.Bool("no-cancel", false, "do not advertise featCancel: hedging clients fall back to plain re-issue without loser cancellation")
+		workers    = flag.Int("workers", 0, "per-connection handler pool size (0 = default)")
 		stats      = flag.Duration("stats", 0, "print server statistics at this interval (0 = never)")
 		debugAddr  = flag.String("debug-addr", "", "serve expvar metrics over HTTP at this address (/debug/vars)")
 		spanFile   = flag.String("span-file", "", "write this server's trace spans (JSON lines) to this file at shutdown; merge with 'ibridge-trace -merge'")
@@ -139,17 +135,14 @@ func main() {
 		log.Fatalf("pfs-server: unknown -store %q (want mem, file, or log)", kind)
 	}
 	ds, err := pfsnet.NewDataServerConfig(*listen, pfsnet.ServerConfig{
-		Bridge:          *ibridge,
-		Store:           store,
-		Workers:         *workers,
-		MaxProto:        *maxProto,
-		DisableVectored: *noVec,
-		DisableCancel:   *noCancel,
-		Obs:             reg,
-		Tracer:          tracer,
-		IOTimeout:       *ioTimeout,
-		FaultPlan:       plan,
-		FaultScope:      *faultScope,
+		Bridge:     *ibridge,
+		Store:      store,
+		Workers:    *workers,
+		Obs:        reg,
+		Tracer:     tracer,
+		IOTimeout:  *ioTimeout,
+		FaultPlan:  plan,
+		FaultScope: *faultScope,
 	})
 	if err != nil {
 		log.Fatalf("pfs-server: %v", err)

@@ -5,8 +5,7 @@
 // the no-I/O-under-lock discipline of the concurrent pfsnet server
 // (lockio), pooled-buffer ownership (bufown), atomic/plain access
 // mixing (atomicmix), the interprocedural lock-acquisition order
-// (lockorder), goroutine shutdown paths (gospawn), and the
-// negotiated-feature gating of protocol ops (featgate).
+// (lockorder), and goroutine shutdown paths (gospawn).
 //
 // The package deliberately mirrors the shapes of
 // golang.org/x/tools/go/analysis (Analyzer, Pass, Diagnostic) so the

@@ -3,6 +3,7 @@ package analyzers
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 )
 
 // exprKey renders a guardable expression (a chain of identifiers and
@@ -182,4 +183,34 @@ func nilGuarded(pm parentMap, n ast.Node, key string) bool {
 		}
 	}
 	return false
+}
+
+// packageFuncDecls indexes every function/method declaration in the
+// package by its type-checker object, for resolving same-package
+// callees.
+func packageFuncDecls(pass *Pass) map[*types.Func]*ast.FuncDecl {
+	decls := map[*types.Func]*ast.FuncDecl{}
+	for _, f := range pass.Files {
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			if fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
+				decls[fn] = fd
+			}
+		}
+	}
+	return decls
+}
+
+// unparen strips any parentheses around e.
+func unparen(e ast.Expr) ast.Expr {
+	for {
+		p, ok := e.(*ast.ParenExpr)
+		if !ok {
+			return e
+		}
+		e = p.X
+	}
 }

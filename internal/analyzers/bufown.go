@@ -33,10 +33,9 @@ var BufOwn = &Analyzer{
 // the argument whose ownership transfers on the call. The set mirrors
 // the contract points documented in DESIGN §11.
 var bufOwnMethods = map[[2]string]int{
-	{"vecWriter", "writeFrame"}: 3,
+	{"vecWriter", "writeFrame"}: 2,
 	{"conn", "exchange"}:        1,
 	{"conn", "call"}:            1,
-	{"conn", "callV1"}:          1,
 	{"Client", "metaCall"}:      1,
 }
 

@@ -10,7 +10,7 @@ import (
 
 // All returns the full invariant suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{DetClock, DetMapRange, ObsNil, LockIO, BufOwn, AtomicMix, LockOrder, GoSpawn, FeatGate}
+	return []*Analyzer{DetClock, DetMapRange, ObsNil, LockIO, BufOwn, AtomicMix, LockOrder, GoSpawn}
 }
 
 // ByName resolves a comma-separated analyzer list ("detclock,lockio");

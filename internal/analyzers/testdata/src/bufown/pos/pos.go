@@ -10,7 +10,7 @@ func cond() bool          { return false }
 
 type vecWriter struct{}
 
-func (w *vecWriter) writeFrame(ver int, tag uint64, op byte, payload []byte) error { return nil }
+func (w *vecWriter) writeFrame(tag uint64, op byte, payload []byte) error { return nil }
 
 type conn struct{}
 
@@ -32,7 +32,7 @@ func UseAfterPut() {
 // UseAfterWriteFrame touches the payload after the vectored writer took
 // it; the writer recycles small payloads immediately.
 func UseAfterWriteFrame(w *vecWriter, payload []byte) {
-	w.writeFrame(2, 1, 3, payload)
+	w.writeFrame(1, 3, payload)
 	sink(payload[0]) // want `payload used after its ownership was handed to vecWriter\.writeFrame`
 }
 

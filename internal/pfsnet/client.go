@@ -26,16 +26,15 @@ import (
 // issues the sub-requests concurrently over a small per-server
 // connection pool.
 //
-// Against v2 peers every pooled connection is pipelined: a single writer
-// goroutine drains a send queue into a vectored writer — frame headers
-// and small payloads packed into pooled arena chunks, large payloads
-// referenced in place — and submits each burst with one writev, while a
-// single reader goroutine demuxes tagged replies to the waiting callers
-// (scattering read data straight into the caller's buffer). Payload
+// Every pooled connection is pipelined: a single writer goroutine
+// drains a send queue into a vectored writer — frame headers and small
+// payloads packed into pooled arena chunks, large payloads referenced in
+// place — and submits each burst with one writev, while a single reader
+// goroutine demuxes tagged replies to the waiting callers (scattering
+// read data straight into the caller's buffer). Payload
 // buffers follow the wire ownership contract (DESIGN §11): the caller
 // encodes into a pooled buffer and hands it to the connection, which
-// releases it exactly once. Against v1 peers the client falls back to
-// the legacy one-round-trip-per-connection discipline.
+// releases it exactly once.
 type Client struct {
 	metaAddr string
 	// FragmentThreshold enables iBridge client-side flagging when > 0.
@@ -43,19 +42,12 @@ type Client struct {
 	// RandomThreshold flags whole small requests as regular random.
 	RandomThreshold int64
 	// PoolSize is the number of connections kept per data server
-	// (default 1). With v2 pipelining one connection multiplexes many
+	// (default 1). With pipelining one connection multiplexes many
 	// requests, and sharing it lets the corked vectored writer batch
 	// concurrent sub-requests into single writev submissions — on small
 	// requests the syscall count, not bandwidth, is the bottleneck.
 	// Raising it can help very large transfers spread TCP windows.
 	PoolSize int
-	// MaxProto caps the wire protocol this client will negotiate
-	// (0 means the latest; 1 forces the legacy protocol).
-	MaxProto int
-	// DisableVectored forces v2 connections onto the legacy corked
-	// bufio.Writer path instead of vectored (writev) submission — the
-	// interop escape hatch, and the A/B knob for the wire benchmarks.
-	DisableVectored bool
 	// Obs, when set before the first request, receives wire-level
 	// metrics under "pfsnet.client.*" (frames, bytes, in-flight depth,
 	// send-queue wait, writev batching) and the resilience metrics
@@ -65,9 +57,8 @@ type Client struct {
 	Obs *obs.Registry
 	// Tracer, when set before the first request, records a parent span
 	// per ReadAt/WriteAt and propagates its {traceID, parentSpanID}
-	// context to data servers over connections whose hello negotiated
-	// the featTrace wire extension (v1 and older-v2 peers silently see
-	// untraced frames). Nil costs one pointer test per request.
+	// context to data servers in traced frames (tagTraceFlag). Nil costs
+	// one pointer test per request.
 	Tracer *obs.XTracer
 	// TrackLatency arms the per-server windowed latency sketches even
 	// without a metrics registry, so LatencySnapshot works standalone
@@ -80,13 +71,12 @@ type Client struct {
 	// tail debugging.
 	SlowLog io.Writer
 
-	// DialTimeout bounds connection establishment, including protocol
-	// negotiation (0 = no timeout).
+	// DialTimeout bounds connection establishment (0 = no timeout).
 	DialTimeout time.Duration
-	// IOTimeout bounds each frame exchange on a connection: a full v1
-	// round trip, or — on pipelined v2 connections — how long a pending
-	// reply may remain unanswered before the connection is declared
-	// dead with ErrDeadline. 0 disables I/O deadlines.
+	// IOTimeout bounds each frame exchange on a connection: the hello,
+	// and how long a pending reply may remain unanswered before the
+	// connection is declared dead with ErrDeadline. 0 disables I/O
+	// deadlines.
 	IOTimeout time.Duration
 	// RequestTimeout bounds one data sub-request across all retry
 	// attempts (0 = no bound beyond the per-attempt IOTimeout).
@@ -123,8 +113,7 @@ type Client struct {
 	// request): each read sub-request on a pipelined connection arms a
 	// timer at the (server, read) sketch's HedgeQuantile; if the primary
 	// has not answered by then, the read is re-issued on a separate
-	// hedge connection (opReadDirect when the server negotiated
-	// featCancel, plain opRead otherwise), the first reply wins, and the
+	// hedge connection as opReadDirect, the first reply wins, and the
 	// loser is abandoned and cancelled server-side. Writes never hedge —
 	// only reads are idempotent under duplicated execution order.
 	// Disabled, the read path is bit-identical to the unhedged client.
@@ -191,29 +180,20 @@ const (
 
 var errConnClosed = errors.New("pfsnet: connection closed")
 
-// conn is one pooled connection. After version negotiation a v2 conn
-// runs a writer and a reader goroutine and multiplexes tagged calls; a
-// v1 conn serializes one round trip at a time under mu.
+// conn is one pooled connection. After the hello it runs a writer and a
+// reader goroutine and multiplexes tagged calls.
 type conn struct {
 	nc        net.Conn
-	ver       int
-	vec       bool // v2 writer uses vectored submission
 	wm        *wireMetrics
 	br        *bufio.Reader
-	bw        *bufio.Writer
 	ioTimeout time.Duration
 
-	// v1 state: mu is held across a full write+read round trip.
-	mu sync.Mutex
-
-	// v2 state.
-	sendq    chan *wireCall
-	dead     chan struct{}
-	features uint32 // hello-negotiated feature bits (featTrace, ...)
-	pendMu   sync.Mutex
-	pending  map[uint64]*wireCall
-	nextTag  uint64
-	failed   error // set once, under pendMu, when the conn dies
+	sendq   chan *wireCall
+	dead    chan struct{}
+	pendMu  sync.Mutex
+	pending map[uint64]*wireCall
+	nextTag uint64
+	failed  error // set once, under pendMu, when the conn dies
 }
 
 // wireCall is one in-flight tagged request. Batch submission links
@@ -229,8 +209,7 @@ type wireCall struct {
 	done    chan struct{}
 
 	// tcID/tcSpan, when tcID is nonzero, make the writer emit this call
-	// as a traced frame (trace context behind the header). Only set on
-	// connections that negotiated featTrace.
+	// as a traced frame (trace context behind the header).
 	tcID, tcSpan uint64
 
 	// scatter, when non-nil, asks the reader to deposit a successful
@@ -249,9 +228,6 @@ const connBufSize = 64 << 10
 
 // dialOpts carries the per-client connection settings into dialConn.
 type dialOpts struct {
-	maxProto    int
-	features    uint32
-	noVec       bool
 	wm          *wireMetrics
 	dialTimeout time.Duration
 	ioTimeout   time.Duration
@@ -267,19 +243,7 @@ func (c *Client) dialOpts(wm *wireMetrics) dialOpts {
 	if scope == "" {
 		scope = "client"
 	}
-	var features uint32
-	if c.Tracer != nil {
-		features = featTrace
-	}
-	if c.Hedge {
-		// featCancel only matters to a hedging client; leaving it out of
-		// the hello otherwise keeps the unhedged wire byte-identical.
-		features |= featCancel
-	}
 	return dialOpts{
-		maxProto:    c.MaxProto,
-		features:    features,
-		noVec:       c.DisableVectored,
 		wm:          wm,
 		dialTimeout: c.DialTimeout,
 		ioTimeout:   c.IOTimeout,
@@ -288,10 +252,10 @@ func (c *Client) dialOpts(wm *wireMetrics) dialOpts {
 	}
 }
 
-// dialConn connects to addr and negotiates the protocol version. The
-// dial is bounded by o.dialTimeout and the negotiation round trip by
-// o.ioTimeout; a fault plan, when armed, injects its dial refusals and
-// wraps the new connection.
+// dialConn connects to addr, exchanges the hello and starts the
+// connection's pipeline. The dial is bounded by o.dialTimeout and the
+// hello by o.ioTimeout; a fault plan, when armed, injects its dial
+// refusals and wraps the new connection.
 func dialConn(addr string, o dialOpts) (*conn, error) {
 	nc, err := o.plan.Dial(o.scope, "tcp", addr, o.dialTimeout)
 	if err != nil {
@@ -299,90 +263,44 @@ func dialConn(addr string, o dialOpts) (*conn, error) {
 	}
 	c := &conn{
 		nc:        nc,
-		ver:       ProtoV1,
-		vec:       !o.noVec,
 		wm:        o.wm,
 		br:        bufio.NewReaderSize(nc, connBufSize),
-		bw:        bufio.NewWriterSize(nc, connBufSize),
 		ioTimeout: o.ioTimeout,
 	}
-	maxProto := o.maxProto
-	if maxProto <= 0 || maxProto > maxProtoVersion {
-		maxProto = maxProtoVersion
+	if c.ioTimeout > 0 {
+		nc.SetDeadline(time.Now().Add(c.ioTimeout))
 	}
-	if maxProto >= ProtoV2 {
-		if c.ioTimeout > 0 {
-			nc.SetDeadline(time.Now().Add(c.ioTimeout))
-		}
-		if err := c.negotiate(maxProto, o.features); err != nil {
-			nc.Close()
-			return nil, wrapTimeout(err)
-		}
-		if c.ioTimeout > 0 {
-			nc.SetDeadline(time.Time{})
-		}
+	if err := c.hello(); err != nil {
+		nc.Close()
+		return nil, wrapTimeout(err)
 	}
-	return c, nil
-}
-
-// negotiate sends the opHello and interprets the peer's answer: opOK
-// carries the agreed version (and, from feature-aware servers, the
-// agreed feature set), opError means a v1 peer that rejected the
-// unknown opcode (fall back silently).
-func (c *conn) negotiate(maxProto int, features uint32) error {
-	e := newEnc()
-	e.u32(uint32(maxProto))
-	// The feature word always goes out — older servers ignore trailing
-	// hello bytes and omit the word from their reply, which reads back
-	// as "no features".
-	e.u32(features)
-	err := writeFrame(c.bw, ProtoV1, 0, opHello, e.b)
-	putBuf(e.b)
-	if err != nil {
-		return err
+	if c.ioTimeout > 0 {
+		nc.SetDeadline(time.Time{})
 	}
-	if err := c.bw.Flush(); err != nil {
-		return err
-	}
-	fr, err := readFrame(c.br, ProtoV1)
-	if err != nil {
-		return err
-	}
-	defer fr.release()
-	switch fr.op {
-	case opOK:
-		d := dec{b: fr.payload}
-		v := int(d.u32())
-		if d.err != nil {
-			return d.err
-		}
-		if len(fr.payload) >= 8 {
-			c.features = d.u32() & features
-			if d.err != nil {
-				return d.err
-			}
-		}
-		if v >= ProtoV2 {
-			c.ver = ProtoV2
-			c.startPipeline()
-		} else {
-			c.features = 0 // features are a v2 construct
-		}
-		return nil
-	case opError:
-		return nil // legacy peer: stay on v1
-	default:
-		return fmt.Errorf("pfsnet: unexpected hello reply opcode %d (%w)", fr.op, ErrCorruptFrame)
-	}
-}
-
-// startPipeline launches the writer and reader goroutines of a v2 conn.
-func (c *conn) startPipeline() {
 	c.sendq = make(chan *wireCall, 128)
 	c.dead = make(chan struct{})
 	c.pending = make(map[uint64]*wireCall)
 	go c.writeLoop()
 	go c.readLoop()
+	return c, nil
+}
+
+// hello sends the opening frame in one write and waits for the
+// server's opOK. A server that rejects the hello closes the connection,
+// which surfaces here as a read error.
+func (c *conn) hello() error {
+	if err := writeFrame(c.nc, 0, opHello, helloPayload); err != nil {
+		return err
+	}
+	fr, err := readFrame(c.br)
+	if err != nil {
+		return fmt.Errorf("pfsnet: hello: %w", wrapTruncated(err))
+	}
+	defer fr.release()
+	if fr.op != opOK {
+		return fmt.Errorf("pfsnet: hello answered with opcode %d (%w)", fr.op, ErrCorruptFrame)
+	}
+	return nil
 }
 
 // releaseChain returns every payload of a batch chain to the pool.
@@ -407,23 +325,14 @@ func drainSendq(sendq chan *wireCall) {
 	}
 }
 
-// writeLoop drains the send queue onto the wire. The loop owns each
-// queued call's payload (ownership transferred at start/startBatch) and
+// writeLoop drains the send queue onto the wire through a vecWriter:
+// frame headers and small payloads pack into arena chunks, large
+// payloads are referenced zero-copy, and each burst goes to the kernel
+// in a single writev when the queue runs dry. The loop owns each queued
+// call's payload (ownership transferred at start/startBatch) and
 // releases it exactly once — after the write, or on exit for calls
 // still queued when the conn dies.
 func (c *conn) writeLoop() {
-	if c.vec {
-		c.writeLoopVec()
-	} else {
-		c.writeLoopBuffered()
-	}
-}
-
-// writeLoopVec is the vectored writer: frames accumulate in the
-// vecWriter (headers and small payloads packed into arena chunks, large
-// payloads referenced zero-copy) and each burst goes to the kernel in a
-// single writev when the queue runs dry.
-func (c *conn) writeLoopVec() {
 	vw := newVecWriter(c.nc, c.wm)
 	defer vw.abandon()
 	defer drainSendq(c.sendq)
@@ -439,7 +348,7 @@ func (c *conn) writeLoopVec() {
 				if w.tcID != 0 {
 					err = vw.writeFrameCtx(w.tag, w.op, w.tcID, w.tcSpan, w.payload)
 				} else {
-					err = vw.writeFrame(c.ver, w.tag, w.op, w.payload)
+					err = vw.writeFrame(w.tag, w.op, w.payload)
 				}
 				w.payload = nil
 				if err != nil {
@@ -454,47 +363,6 @@ func (c *conn) writeLoopVec() {
 					c.nc.SetWriteDeadline(time.Now().Add(c.ioTimeout))
 				}
 				if err := vw.flush(); err != nil {
-					c.kill(wrapTimeout(err))
-					return
-				}
-			}
-		}
-	}
-}
-
-// writeLoopBuffered is the legacy corked bufio path (DisableVectored):
-// it keeps writing frames while more calls are queued and flushes only
-// when the queue runs dry, so bursts of sub-requests share syscalls.
-func (c *conn) writeLoopBuffered() {
-	defer drainSendq(c.sendq)
-	for {
-		select {
-		case <-c.dead:
-			return
-		case w := <-c.sendq:
-			for ; w != nil; w = w.next {
-				c.wm.observeQueueWait(w.enq)
-				if c.ioTimeout > 0 {
-					c.nc.SetWriteDeadline(time.Now().Add(c.ioTimeout))
-				}
-				var err error
-				if w.tcID != 0 {
-					err = writeFrameCtx(c.bw, w.tag, w.op, w.tcID, w.tcSpan, w.payload)
-				} else {
-					err = writeFrame(c.bw, c.ver, w.tag, w.op, w.payload)
-				}
-				n := len(w.payload)
-				putBuf(w.payload)
-				w.payload = nil
-				if err != nil {
-					releaseChain(w.next)
-					c.kill(wrapTimeout(err))
-					return
-				}
-				c.wm.onTx(n)
-			}
-			if len(c.sendq) == 0 {
-				if err := c.bw.Flush(); err != nil {
 					c.kill(wrapTimeout(err))
 					return
 				}
@@ -639,15 +507,9 @@ func (c *conn) kill(err error) {
 	c.wm.setInflight(0)
 }
 
-// close shuts the connection down. Pending v2 calls fail with
+// close shuts the connection down. Pending calls fail with
 // errConnClosed.
-func (c *conn) close() error {
-	if c.ver >= ProtoV2 {
-		c.kill(errConnClosed)
-		return nil
-	}
-	return c.nc.Close()
-}
+func (c *conn) close() { c.kill(errConnClosed) }
 
 // call performs one request/reply exchange. Ownership of payload (a
 // pooled buffer) transfers to the conn on entry — the conn releases it
@@ -661,53 +523,14 @@ func (c *conn) call(op byte, payload []byte) ([]byte, error) {
 // exchange is call with an optional scatter destination (a non-nil dst
 // asks for a successful read reply's data to land directly in dst, in
 // which case the reply is nil and the int result is the byte count) and
-// an optional trace context, applied only when the connection
-// negotiated featTrace.
+// an optional trace context (tcID nonzero).
 func (c *conn) exchange(op byte, payload, dst []byte, tcID, tcSpan uint64) ([]byte, int, error) {
-	if c.ver >= ProtoV2 {
-		w := &wireCall{op: op, payload: payload, scatter: dst, done: make(chan struct{})}
-		if tcID != 0 && c.features&featTrace != 0 {
-			w.tcID, w.tcSpan = tcID, tcSpan
-		}
-		if err := c.start(w); err != nil {
-			return nil, 0, err
-		}
-		<-w.done
-		return c.finishCall(w)
+	w := &wireCall{op: op, payload: payload, scatter: dst, done: make(chan struct{}), tcID: tcID, tcSpan: tcSpan}
+	if err := c.start(w); err != nil {
+		return nil, 0, err
 	}
-	reply, err := c.callV1(op, payload)
-	return reply, 0, err
-}
-
-func (c *conn) callV1(op byte, payload []byte) ([]byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	defer putBuf(payload) // ownership contract: the conn releases it
-	if c.ioTimeout > 0 {
-		// One deadline covers the whole round trip; cleared on success
-		// so an idle pooled conn cannot expire between calls. A timed-out
-		// conn is left desynced mid-frame, but the caller drops it from
-		// the pool on any transport error, including this one.
-		c.nc.SetDeadline(time.Now().Add(c.ioTimeout))
-		defer c.nc.SetDeadline(time.Time{})
-	}
-	if err := writeFrame(c.bw, ProtoV1, 0, op, payload); err != nil {
-		return nil, wrapTimeout(err)
-	}
-	// v1 is strictly one exchange in flight per connection: the mutex
-	// IS the wire serialization, so holding it across the round trip is
-	// the protocol, not a contention bug.
-	//lint:allow lockio v1 wire is serial by design; c.mu is the per-connection wire serialization
-	if err := c.bw.Flush(); err != nil {
-		return nil, wrapTimeout(err)
-	}
-	c.wm.onTx(len(payload))
-	fr, err := readFrame(c.br, ProtoV1)
-	if err != nil {
-		return nil, wrapTimeout(err)
-	}
-	c.wm.onRx(len(fr.payload))
-	return finishReply(fr.op, fr.payload)
+	<-w.done
+	return c.finishCall(w)
 }
 
 // start registers w and hands it (payload ownership included) to the
@@ -860,37 +683,25 @@ func NewIBridgeClient(metaAddr string, fragmentThreshold, randomThreshold int64)
 	return c
 }
 
-// Close closes all pooled connections.
+// Close closes all pooled connections. It always returns nil.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var first error
 	if c.meta != nil {
-		first = c.meta.close()
+		c.meta.close()
 		c.meta = nil
 	}
 	for addr, pool := range c.data {
 		for _, cn := range pool {
-			if err := cn.close(); err != nil && first == nil {
-				first = err
-			}
+			cn.close()
 		}
 		delete(c.data, addr)
 	}
-	// Close hedge conns in a stable order so a multi-error Close reports
-	// deterministically.
-	haddrs := make([]string, 0, len(c.hdata))
-	for addr := range c.hdata {
-		haddrs = append(haddrs, addr)
-	}
-	sort.Strings(haddrs)
-	for _, addr := range haddrs {
-		if err := c.hdata[addr].close(); err != nil && first == nil {
-			first = err
-		}
+	for addr, cn := range c.hdata {
+		cn.close()
 		delete(c.hdata, addr)
 	}
-	return first
+	return nil
 }
 
 // wireMetricsLocked lazily resolves the client's wire metrics (c.mu
@@ -1218,7 +1029,7 @@ func (c *Client) metaConn() (*conn, error) {
 	}
 	wm := c.wireMetricsLocked()
 	c.mu.Unlock()
-	// Dial outside the lock: negotiation is a network round trip.
+	// Dial outside the lock: the hello is a network round trip.
 	cn, err := dialConn(c.metaAddr, c.dialOpts(wm))
 	if err != nil {
 		return nil, err
@@ -1372,7 +1183,7 @@ func (c *Client) tryDataCall(addr string, op byte, encode func() []byte, dst []b
 	}
 	var reply []byte
 	var n int
-	if c.hedgeEligible(op, cn) {
+	if c.hedgeEligible(op) {
 		reply, n, err = c.hedgedExchange(addr, cn, encode, dst, tcID, tcSpan, pr)
 	} else {
 		reply, n, err = cn.exchange(op, encode(), dst, tcID, tcSpan)
@@ -1602,15 +1413,15 @@ func (c *Client) writeSubs(f *File, off int64, p []byte, subs []stripe.Sub, rand
 
 // batchConn returns a pipelined conn to addr for batch submission, with
 // addr's breaker. A nil conn means batching does not apply — breaker
-// open (the per-sub path owns the probe/fail-fast semantics), dial
-// failure, or a v1 peer — and the caller falls back to per-sub calls.
+// open (the per-sub path owns the probe/fail-fast semantics) or dial
+// failure — and the caller falls back to per-sub calls.
 func (c *Client) batchConn(addr string) (*conn, *breaker) {
 	b := c.breakerFor(addr)
 	if b.isOpen() {
 		return nil, b
 	}
 	cn, err := c.dataConn(addr)
-	if err != nil || cn.ver < ProtoV2 {
+	if err != nil {
 		return nil, b
 	}
 	return cn, b
@@ -1632,7 +1443,7 @@ func (c *Client) writeGroup(f *File, off int64, p []byte, subs []stripe.Sub, ran
 	}
 	sk := c.sketchFor(addr, "write")
 	var tcID, tcSpan uint64
-	if pr != nil && cn.features&featTrace != 0 {
+	if pr != nil {
 		tcID, tcSpan = pr.trace, pr.span
 	}
 	calls := make([]*wireCall, len(subs))
@@ -1820,7 +1631,7 @@ func (c *Client) readGroup(f *File, off int64, p []byte, subs []stripe.Sub, pr *
 	}
 	sk := c.sketchFor(addr, "read")
 	var tcID, tcSpan uint64
-	if pr != nil && cn.features&featTrace != 0 {
+	if pr != nil {
 		tcID, tcSpan = pr.trace, pr.span
 	}
 	calls := make([]*wireCall, len(subs))
@@ -1842,12 +1653,11 @@ func (c *Client) readGroup(f *File, off int64, p []byte, subs []stripe.Sub, pr *
 		return c.readSubs(f, off, p, subs, pr)
 	}
 	rm := c.resMetrics()
-	hedged := c.Hedge && cn.ver >= ProtoV2
 	var retry []stripe.Sub
 	var first error
 	for i, w := range calls {
 		sub := subs[i]
-		if hedged {
+		if c.Hedge {
 			c.awaitHedged(cn, w, addr, func() []byte { return encodeRead(f, sub) }, pr)
 		} else {
 			<-w.done

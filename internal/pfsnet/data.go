@@ -1,10 +1,9 @@
 package pfsnet
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
-	"log"
+	"math"
 	"net"
 	"runtime"
 	"slices"
@@ -48,33 +47,25 @@ type DurableStore interface {
 // the extents in their range, found by binary search, on top of the
 // store's bytes.
 //
-// Each v2 connection runs a small pipeline: the connection goroutine
-// demuxes tagged frames into a bounded worker pool, the workers execute
-// handlers concurrently, and a single response-writer goroutine streams
-// the tagged replies back. Server state is split so independent requests
-// do not serialize behind one lock: the fragment log is guarded by the
-// read-write logMu, counters are atomic, and the read and write paths do
-// their object-store I/O with no lock held (DESIGN §8). A direct write
-// that overlaps logged fragments runs in two phases: it first inserts a
-// copy of the overlapped span under a fresh id, then writes the store
-// unlocked, then punches whatever still carries its id. Because a read's
-// store access and its overlay are not atomic, logGen counts every event
-// that moves bytes out of the log (a flush or a punch) and a read that
-// sees it change retries its store read. Flush is the one path that
-// writes the store under logMu.
+// Each connection runs the shared pipeline (connServer): a demux
+// goroutine feeds tagged frames into a bounded worker pool, the workers
+// execute handlers concurrently, and a single response-writer goroutine
+// streams the tagged replies back. Server state is split so independent
+// requests do not serialize behind one lock: the fragment log is guarded
+// by the read-write logMu, counters are atomic, and the read and write
+// paths do their object-store I/O with no lock held (DESIGN §8). A
+// direct write that overlaps logged fragments runs in two phases: it
+// first inserts a copy of the overlapped span under a fresh id, then
+// writes the store unlocked, then punches whatever still carries its id.
+// Because a read's store access and its overlay are not atomic, logGen
+// counts every event that moves bytes out of the log (a flush or a
+// punch) and a read that sees it change retries its store read. Flush is
+// the one path that writes the store under logMu.
 type DataServer struct {
-	ln        net.Listener
-	bridge    bool
-	store     ObjectStore
-	durable   DurableStore // non-nil when store is crash-consistent (logstore)
-	workers   int
-	maxProto  int
-	noVec     bool
-	ioTimeout time.Duration
-	wm        *wireMetrics
-	tracer    *obs.XTracer
-	features  uint32       // feature bits advertised during hello
-	connSeq   atomic.Int64 // per-connection trace-scope numbering
+	connServer
+	bridge  bool
+	store   ObjectStore
+	durable DurableStore // non-nil when store is crash-consistent (logstore)
 
 	// SSD-device failure state: when the fault plan schedules a device
 	// failure for this server (or FailSSD is called), the fragment log is
@@ -92,13 +83,7 @@ type DataServer struct {
 	fragSeq uint64                       // last id handed to a direct write's span
 	logGen  atomic.Uint64                // bumped whenever log bytes leave the log
 
-	ctr       dataCounters
-	wg        sync.WaitGroup
-	quit      chan struct{}
-	closeOnce sync.Once
-
-	connMu sync.Mutex
-	conns  map[net.Conn]struct{}
+	ctr dataCounters
 }
 
 // ServerConfig configures a data server beyond the common defaults.
@@ -107,35 +92,16 @@ type ServerConfig struct {
 	Bridge bool
 	// Store is the backing object store (default: in-memory).
 	Store ObjectStore
-	// Workers bounds the per-connection handler pool for pipelined (v2)
-	// connections. Default: max(4, GOMAXPROCS).
+	// Workers bounds the per-connection handler pool. Default:
+	// max(4, GOMAXPROCS).
 	Workers int
-	// MaxProto caps the wire protocol the server will negotiate
-	// (0 means the latest; 1 makes the server behave like a legacy v1
-	// peer, rejecting the hello opcode).
-	MaxProto int
-	// DisableVectored forces the pipelined response writer onto the
-	// legacy corked bufio path instead of vectored (writev) submission —
-	// the interop escape hatch, and the A/B knob for the wire
-	// benchmarks.
-	DisableVectored bool
 	// Obs, when set, receives wire-level metrics under
 	// "pfsnet.server.*".
 	Obs *obs.Registry
 	// Tracer, when set, records server-side spans (queue-wait, store,
 	// respond) under the trace context of requests that carry one on
-	// the wire. Tracing only activates on connections whose hello
-	// negotiated featTrace; a nil tracer costs one pointer test.
+	// the wire; a nil tracer costs one pointer test.
 	Tracer *obs.XTracer
-	// DisableTracing stops the server from advertising featTrace during
-	// hello negotiation — the interop knob modelling an older v2 peer
-	// that predates the trace extension.
-	DisableTracing bool
-	// DisableCancel stops the server from advertising featCancel — the
-	// interop knob modelling an older v2 peer that predates the
-	// hedged-read cancellation extension. Hedging clients degrade to
-	// plain re-issue without cancellation against such a peer.
-	DisableCancel bool
 	// IOTimeout, when positive, bounds each frame read and reply write
 	// on every connection so a stalled or half-open peer cannot pin a
 	// handler goroutine forever. 0 (the default) disables deadlines.
@@ -183,8 +149,6 @@ type dataCounters struct {
 	flushes            atomic.Int64
 	flushedBytes       atomic.Int64
 	readBytes, wrBytes atomic.Int64
-	cancelsReceived    atomic.Int64
-	cancelsHonored     atomic.Int64
 	directReads        atomic.Int64
 }
 
@@ -222,9 +186,7 @@ func NewDataServerConfig(addr string, cfg ServerConfig) (*DataServer, error) {
 		return nil, err
 	}
 	s := newDataServer(cfg)
-	s.ln = cfg.FaultPlan.WrapListener(ln, cfg.FaultScope)
-	s.wg.Add(1)
-	go s.accept()
+	s.serve(cfg.FaultPlan.WrapListener(ln, cfg.FaultScope))
 	return s, nil
 }
 
@@ -239,38 +201,20 @@ func newDataServer(cfg ServerConfig) *DataServer {
 	if workers <= 0 {
 		workers = max(4, runtime.GOMAXPROCS(0))
 	}
-	maxProto := cfg.MaxProto
-	if maxProto <= 0 || maxProto > maxProtoVersion {
-		maxProto = maxProtoVersion
-	}
-	// Advertise featTrace unless explicitly disabled: stripping the
-	// trace context off flagged frames is harmless without a tracer,
-	// and always advertising keeps the negotiation matrix small.
-	var features uint32
-	if !cfg.DisableTracing {
-		features = featTrace
-	}
-	// featCancel is advertised by default for the same reason: dropping
-	// cancelled work is harmless, and a client that never hedges simply
-	// never sends opCancel.
-	if !cfg.DisableCancel {
-		features |= featCancel
-	}
 	s := &DataServer{
-		bridge:    cfg.Bridge,
-		store:     store,
-		workers:   workers,
-		maxProto:  maxProto,
-		noVec:     cfg.DisableVectored,
-		ioTimeout: cfg.IOTimeout,
-		wm:        newWireMetrics(cfg.Obs, "pfsnet.server."),
-		tracer:    cfg.Tracer,
-		features:  features,
-		plan:      cfg.FaultPlan,
-		frags:     make(map[uint64]*extent.Map[frag]),
-		quit:      make(chan struct{}),
-		conns:     make(map[net.Conn]struct{}),
+		connServer: connServer{
+			name:      "pfsnet data",
+			workers:   workers,
+			ioTimeout: cfg.IOTimeout,
+			wm:        newWireMetrics(cfg.Obs, "pfsnet.server."),
+			tracer:    cfg.Tracer,
+		},
+		bridge: cfg.Bridge,
+		store:  store,
+		plan:   cfg.FaultPlan,
+		frags:  make(map[uint64]*extent.Map[frag]),
 	}
+	s.handle = s.dispatch
 	if ds, ok := store.(DurableStore); ok {
 		s.durable = ds
 	}
@@ -297,8 +241,8 @@ func (s *DataServer) Stats() DataStats {
 		FlushedBytes:    s.ctr.flushedBytes.Load(),
 		ReadBytes:       s.ctr.readBytes.Load(),
 		WrBytes:         s.ctr.wrBytes.Load(),
-		CancelsReceived: s.ctr.cancelsReceived.Load(),
-		CancelsHonored:  s.ctr.cancelsHonored.Load(),
+		CancelsReceived: s.cancelsReceived.Load(),
+		CancelsHonored:  s.cancelsHonored.Load(),
 		DirectReads:     s.ctr.directReads.Load(),
 	}
 }
@@ -308,25 +252,10 @@ func (s *DataServer) Stats() DataStats {
 // retry logic redial transparently). Close is idempotent: chaos drivers
 // crash servers that a deferred cleanup later closes again.
 func (s *DataServer) Close() error {
-	var first bool
-	s.closeOnce.Do(func() { close(s.quit); first = true })
+	first, err := s.shutdown()
 	if !first {
 		return nil
 	}
-	err := s.ln.Close()
-	// Snapshot under the lock, sever outside it: Close on a TCP conn
-	// can block, and handlers need connMu to unregister themselves.
-	s.connMu.Lock()
-	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		//lint:allow detmaprange severing connections; close order is immaterial
-		conns = append(conns, c)
-	}
-	s.connMu.Unlock()
-	for _, c := range conns {
-		c.Close()
-	}
-	s.wg.Wait()
 	if ferr := s.FlushLog(); ferr != nil && err == nil {
 		err = ferr
 	}
@@ -379,272 +308,9 @@ func (s *DataServer) flushLocked(file uint64, all bool) error {
 	return nil
 }
 
-func (s *DataServer) accept() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			select {
-			case <-s.quit:
-				return
-			default:
-				log.Printf("pfsnet data: accept: %v", err)
-				return
-			}
-		}
-		s.connMu.Lock()
-		s.conns[conn] = struct{}{}
-		s.connMu.Unlock()
-		s.wg.Add(1)
-		go s.serveConn(conn)
-	}
-}
-
-func (s *DataServer) serveConn(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		s.connMu.Lock()
-		delete(s.conns, conn)
-		s.connMu.Unlock()
-		conn.Close()
-	}()
-	br := bufio.NewReaderSize(conn, connBufSize)
-	bw := bufio.NewWriterSize(conn, connBufSize)
-	ver, feats, first, hasFirst, err := serverHandshake(br, bw, s.maxProto, s.features)
-	if err != nil {
-		return
-	}
-	if ver >= ProtoV2 {
-		scope := fmt.Sprintf("conn%d", s.connSeq.Add(1))
-		s.servePipelined(conn, br, bw, feats, scope)
-		return
-	}
-	var firstp *frame
-	if hasFirst {
-		firstp = &first
-	}
-	// A v1 peer negotiated no features: dispatch with an empty feature
-	// set so feature-gated opcodes are rejected, not silently served.
-	serveFrames(conn, br, bw, ProtoV1, firstp, s.wm, s.ioTimeout, func(op byte, payload []byte) (byte, []byte) {
-		return s.dispatch(0, op, payload)
-	})
-}
-
-// servePipelined runs the v2 per-connection pipeline: this goroutine
-// demuxes frames into the bounded worker pool, the workers execute
-// handlers concurrently, and one response-writer goroutine streams the
-// tagged replies back, flushing only when its queue runs dry — through
-// the vectored writer by default, so a burst of small acks and read
-// replies coalesces into one writev submission.
-func (s *DataServer) servePipelined(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, feats uint32, scope string) {
-	jobs := make(chan frame, s.workers*2)
-	resp := make(chan frame, s.workers*2)
-
-	// Cancellation set (featCancel): the demux intercepts opCancel frames
-	// and records the target tags here; workers consult it right before
-	// dispatch and drop cancelled work without a reply (safe because a
-	// client only cancels tags it has already abandoned). Frame order on
-	// the wire guarantees the target request was demuxed — and is queued
-	// or done — before its cancel arrives.
-	var cancels *cancelSet
-	if feats&featCancel != 0 {
-		cancels = &cancelSet{tags: make(map[uint64]struct{})}
-	}
-
-	var writerWG sync.WaitGroup
-	writerWG.Add(1)
-	go func() {
-		defer writerWG.Done()
-		if s.noVec {
-			s.respondBuffered(conn, bw, resp, scope)
-		} else {
-			s.respondVectored(conn, resp, scope)
-		}
-	}()
-
-	var workerWG sync.WaitGroup
-	for i := 0; i < s.workers; i++ {
-		workerWG.Add(1)
-		go func() {
-			defer workerWG.Done()
-			for fr := range jobs {
-				if cancels != nil && cancels.take(fr.tag) {
-					// Cancelled while queued: drop without executing or
-					// replying — the client abandoned this tag before it
-					// sent the cancel.
-					s.ctr.cancelsHonored.Add(1)
-					fr.release()
-					continue
-				}
-				s.wm.observeQueueWait(fr.enq)
-				traced := s.tracer != nil && fr.traced && !fr.enq.IsZero()
-				var t0 time.Time
-				if traced {
-					t0 = time.Now()
-					s.tracer.Span(fr.tcID, s.tracer.NewID(), fr.tcSpan, "queue-wait", scope, fr.enq, t0.Sub(fr.enq))
-				}
-				op, reply := s.dispatch(feats, fr.op, fr.body())
-				out := frame{tag: fr.tag, op: op, payload: reply}
-				if traced {
-					now := time.Now()
-					s.tracer.Span(fr.tcID, s.tracer.NewID(), fr.tcSpan, "store", scope, t0, now.Sub(t0))
-					// The reply frame reuses the trace fields so the
-					// response writer can close a "respond" span when the
-					// flush that carries this reply completes.
-					out.traced = true
-					out.tcID, out.tcSpan = fr.tcID, fr.tcSpan
-					out.enq = now
-				}
-				fr.release()
-				resp <- out
-			}
-		}()
-	}
-
-	for {
-		if s.ioTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(s.ioTimeout))
-		}
-		fr, err := readFrame(br, ProtoV2)
-		if err != nil {
-			break
-		}
-		if fr.tag&tagTraceFlag != 0 {
-			fr.tag &^= tagTraceFlag
-			if feats&featTrace == 0 || len(fr.payload) < traceCtxSize {
-				// A trace flag the hello never negotiated (or a context
-				// too short to exist) is a protocol violation, not a
-				// request — drop the connection.
-				fr.release()
-				break
-			}
-			fr.traced = true
-			fr.tcID = binary.BigEndian.Uint64(fr.payload[:8])
-			fr.tcSpan = binary.BigEndian.Uint64(fr.payload[8:16])
-		}
-		s.wm.onRx(len(fr.payload))
-		if fr.op == opCancel {
-			// Fire-and-forget by contract: never enters the worker pool,
-			// never generates a reply. Honored only when featCancel was
-			// negotiated — a stray cancel on an ungated connection cannot
-			// reference queued work and is dropped on the floor.
-			if feats&featCancel != 0 {
-				d := dec{b: fr.body()}
-				if target := d.u64(); d.err == nil {
-					s.ctr.cancelsReceived.Add(1)
-					cancels.add(target)
-				}
-			}
-			fr.release()
-			continue
-		}
-		if s.wm != nil || (s.tracer != nil && fr.traced) {
-			fr.enq = time.Now()
-		}
-		jobs <- fr // bounded: backpressure falls back onto TCP
-	}
-	close(jobs)
-	workerWG.Wait()
-	close(resp)
-	writerWG.Wait()
-}
-
-// respCtx is the trace context a response writer holds between queueing
-// a traced reply and the flush that actually puts it on the wire.
-type respCtx struct {
-	tcID, tcSpan uint64
-	start        time.Time
-}
-
-// flushRespSpans closes one "respond" span per traced reply carried by
-// the flush that just completed.
-func (s *DataServer) flushRespSpans(pending []respCtx, scope string) []respCtx {
-	if len(pending) == 0 {
-		return pending
-	}
-	now := time.Now()
-	for _, rc := range pending {
-		s.tracer.Span(rc.tcID, s.tracer.NewID(), rc.tcSpan, "respond", scope, rc.start, now.Sub(rc.start))
-	}
-	return pending[:0]
-}
-
-// respondVectored streams tagged replies back through the vectored
-// writer: ownership of each reply payload transfers to the writer
-// (DESIGN §11), small acks pack into arena chunks, large read replies
-// ride as their own iovec, and the accumulated batch reaches the kernel
-// in one writev when the queue runs dry.
-func (s *DataServer) respondVectored(conn net.Conn, resp chan frame, scope string) {
-	vw := newVecWriter(conn, s.wm)
-	defer vw.abandon()
-	broken := false
-	var pending []respCtx
-	for fr := range resp {
-		if broken {
-			putBuf(fr.payload)
-			continue
-		}
-		n := len(fr.payload)
-		if s.tracer != nil && fr.traced {
-			pending = append(pending, respCtx{fr.tcID, fr.tcSpan, fr.enq})
-		}
-		if vw.writeFrame(ProtoV2, fr.tag, fr.op, fr.payload) != nil {
-			broken = true
-			conn.Close() // unblock the demux reader promptly
-			continue
-		}
-		s.wm.onTx(n)
-		if len(resp) == 0 {
-			if s.ioTimeout > 0 {
-				conn.SetWriteDeadline(time.Now().Add(s.ioTimeout))
-			}
-			if vw.flush() != nil {
-				broken = true
-				conn.Close()
-				continue
-			}
-			pending = s.flushRespSpans(pending, scope)
-		}
-	}
-}
-
-// respondBuffered is the legacy corked bufio response path
-// (DisableVectored).
-func (s *DataServer) respondBuffered(conn net.Conn, bw *bufio.Writer, resp chan frame, scope string) {
-	broken := false
-	var pending []respCtx
-	for fr := range resp {
-		if !broken {
-			if s.ioTimeout > 0 {
-				conn.SetWriteDeadline(time.Now().Add(s.ioTimeout))
-			}
-			if s.tracer != nil && fr.traced {
-				pending = append(pending, respCtx{fr.tcID, fr.tcSpan, fr.enq})
-			}
-			if writeFrame(bw, ProtoV2, fr.tag, fr.op, fr.payload) != nil {
-				broken = true
-				conn.Close() // unblock the demux reader promptly
-			} else {
-				s.wm.onTx(len(fr.payload))
-			}
-		}
-		putBuf(fr.payload)
-		if !broken && len(resp) == 0 {
-			if bw.Flush() != nil {
-				broken = true
-				conn.Close()
-			} else {
-				pending = s.flushRespSpans(pending, scope)
-			}
-		}
-	}
-}
-
 // dispatch executes one request and returns the reply opcode and pooled
-// payload. feats is the connection's negotiated feature set: opcodes
-// that ride a feature bit (opReadDirect rides featCancel, DESIGN §13)
-// are protocol errors on a connection that never negotiated it.
-func (s *DataServer) dispatch(feats uint32, op byte, payload []byte) (byte, []byte) {
+// payload.
+func (s *DataServer) dispatch(op byte, payload []byte) (byte, []byte) {
 	var reply []byte
 	var err error
 	switch op {
@@ -653,11 +319,7 @@ func (s *DataServer) dispatch(feats uint32, op byte, payload []byte) (byte, []by
 	case opRead:
 		reply, err = s.handleRead(payload)
 	case opReadDirect:
-		if feats&featCancel == 0 {
-			err = fmt.Errorf("pfsnet data: opReadDirect without negotiated featCancel")
-		} else {
-			reply, err = s.handleReadDirect(payload)
-		}
+		reply, err = s.handleReadDirect(payload)
 	case opStat:
 		reply, err = s.handleStat(payload)
 	case opFlush:
@@ -682,8 +344,8 @@ func (s *DataServer) handleWrite(payload []byte) ([]byte, error) {
 	if d.err != nil {
 		return nil, d.err
 	}
-	if off < 0 {
-		return nil, fmt.Errorf("pfsnet data: negative offset %d", off)
+	if off < 0 || off > math.MaxInt64-int64(len(data)) {
+		return nil, fmt.Errorf("pfsnet data: bad write [%d,+%d)", off, len(data))
 	}
 	s.ctr.writes.Add(1)
 	s.ctr.wrBytes.Add(int64(len(data)))
@@ -870,40 +532,6 @@ func (s *DataServer) insertLocked(file uint64, off int64, v frag) {
 	n := int64(len(v.data))
 	s.ctr.logLive.Add(n - m.Insert(off, n, v))
 	s.ctr.logExtents.Add(int64(m.Len() - before))
-}
-
-// cancelSet is the per-connection set of cancelled request tags
-// (featCancel). The demux goroutine adds, workers take; the map is
-// bounded because honored cancels delete their entry and the set is
-// cleared wholesale past cancelSetMax — by then the targets have long
-// left the worker queue, so stale entries only waste memory. Tag reuse
-// is impossible within a connection (tags are a monotonic u64).
-type cancelSet struct {
-	mu   sync.Mutex
-	tags map[uint64]struct{}
-}
-
-// cancelSetMax bounds a connection's cancelled-tag set; see cancelSet.
-const cancelSetMax = 1024
-
-func (cs *cancelSet) add(tag uint64) {
-	cs.mu.Lock()
-	if len(cs.tags) >= cancelSetMax {
-		clear(cs.tags)
-	}
-	cs.tags[tag] = struct{}{}
-	cs.mu.Unlock()
-}
-
-// take reports whether tag was cancelled, consuming the entry.
-func (cs *cancelSet) take(tag uint64) bool {
-	cs.mu.Lock()
-	_, ok := cs.tags[tag]
-	if ok {
-		delete(cs.tags, tag)
-	}
-	cs.mu.Unlock()
-	return ok
 }
 
 // handleReadDirect is opRead with the hedge routing hint: a re-issued

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -49,6 +50,36 @@ func readVia(s *DataServer, file uint64, off, n int64) ([]byte, error) {
 	out := bytes.Clone(reply[4:])
 	putBuf(reply)
 	return out, nil
+}
+
+// TestWriteOffsetOverflowRejected sends one write whose end overflows
+// int64, on both store paths with the bridge on and off. The server must
+// answer opError without panicking (a panic in a worker takes the whole
+// server down) and must not log or store anything.
+func TestWriteOffsetOverflowRejected(t *testing.T) {
+	for _, bridge := range []bool{false, true} {
+		for _, flagged := range []bool{false, true} {
+			t.Run(fmt.Sprintf("bridge=%v/flagged=%v", bridge, flagged), func(t *testing.T) {
+				s := newDataServer(ServerConfig{Bridge: bridge})
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("write at the int64 edge panicked: %v", r)
+					}
+				}()
+				op, reply := s.dispatch(opWrite, writeReq(1, math.MaxInt64-10, flagged, make([]byte, 100)))
+				putBuf(reply)
+				if op != opError {
+					t.Fatalf("reply opcode = %d, want opError", op)
+				}
+				if st := s.Stats(); st.Writes != 0 || st.LogBytes != 0 {
+					t.Fatalf("rejected write was counted: %+v", st)
+				}
+				if n, _ := s.store.Size(1); n != 0 {
+					t.Fatalf("rejected write grew the object to %d bytes", n)
+				}
+			})
+		}
+	}
 }
 
 // checkLogCounters verifies that the live-bytes and extent-count gauges

@@ -1,7 +1,6 @@
 package pfsnet
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"io"
@@ -12,58 +11,88 @@ import (
 	"repro/internal/faults"
 )
 
-// FuzzReadMessage feeds arbitrary byte streams through the framing layer
-// at both protocol versions: the decoders must return an error or a
-// well-formed frame, never panic, and any frame that survives a decode
-// must re-encode to a stream the decoder accepts again.
-func FuzzReadMessage(f *testing.F) {
-	// Seeds: a valid v1 frame, a valid v2 frame, and the malformed
-	// shapes from the table test.
-	var v1 bytes.Buffer
-	writeMessage(&v1, opRead, []byte{1, 2, 3})
-	f.Add(v1.Bytes())
-	var v2 bytes.Buffer
-	writeFrame(&v2, ProtoV2, 42, opWrite, []byte("payload"))
-	f.Add(v2.Bytes())
-	f.Add([]byte{0, 0})                           // truncated length prefix
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, opRead}) // oversize length
-	f.Add([]byte{0, 0, 0, 100, opRead, 1, 2})     // short payload
-	f.Add([]byte{0, 0, 0, 2, 0xEE, 9})            // unknown opcode
+// rawFrame encodes one frame as bytes.
+func rawFrame(tag uint64, op byte, payload []byte) []byte {
+	var b bytes.Buffer
+	if err := writeFrame(&b, tag, op, payload); err != nil {
+		panic(err)
+	}
+	return b.Bytes()
+}
+
+// dialHello dials a server and completes the hello by hand, for tests
+// that drive raw frames at it.
+func dialHello(t *testing.T, addr string) net.Conn {
+	t.Helper()
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nc.SetDeadline(time.Now().Add(5 * time.Second))
+	if _, err := nc.Write(rawFrame(0, opHello, helloPayload)); err != nil {
+		t.Fatal(err)
+	}
+	fr, err := readFrame(nc)
+	if err != nil || fr.op != opOK {
+		t.Fatalf("hello: %v op=%d", err, fr.op)
+	}
+	fr.release()
+	nc.SetDeadline(time.Time{})
+	return nc
+}
+
+// FuzzReadFrame feeds arbitrary byte streams through the framing layer:
+// readFrame must return an error or a well-formed frame, never panic,
+// and any frame that survives a decode must re-encode with writeFrame
+// to exactly the bytes it was decoded from.
+func FuzzReadFrame(f *testing.F) {
+	// Seeds: a plain frame, a traced frame (tagTraceFlag set, context
+	// ahead of the payload), the hello, and the malformed shapes from the
+	// table test.
+	f.Add(rawFrame(42, opWrite, []byte("payload")))
+	traced := binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(nil, 0xABC), 0xDEF)
+	f.Add(rawFrame(7|tagTraceFlag, opRead, append(traced, 1, 2, 3)))
+	f.Add(rawFrame(0, opHello, helloPayload))
+	for _, raw := range malformedFrames {
+		f.Add(raw)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		msg, err := readMessage(bytes.NewReader(data))
-		if err == nil {
-			// Whatever decoded must round-trip.
-			var buf bytes.Buffer
-			if werr := writeMessage(&buf, msg.op, msg.payload); werr != nil {
-				t.Fatalf("decoded frame does not re-encode: %v", werr)
-			}
-			again, rerr := readMessage(&buf)
-			if rerr != nil || again.op != msg.op || !bytes.Equal(again.payload, msg.payload) {
-				t.Fatalf("re-decode mismatch: %v", rerr)
-			}
+		fr, err := readFrame(bytes.NewReader(data))
+		if err != nil {
+			return
 		}
-		for _, ver := range []int{ProtoV1, ProtoV2} {
-			fr, err := readFrame(bufio.NewReader(bytes.NewReader(data)), ver)
-			if err == nil {
-				var buf bytes.Buffer
-				if werr := writeFrame(&buf, ver, fr.tag, fr.op, fr.payload); werr != nil {
-					t.Fatalf("v%d frame does not re-encode: %v", ver, werr)
-				}
-				again, rerr := readFrame(bufio.NewReader(&buf), ver)
-				if rerr != nil || again.tag != fr.tag || again.op != fr.op || !bytes.Equal(again.payload, fr.payload) {
-					t.Fatalf("v%d re-decode mismatch: %v", ver, rerr)
-				}
-				again.release()
-				fr.release()
-			}
+		defer fr.release()
+		var buf bytes.Buffer
+		if werr := writeFrame(&buf, fr.tag, fr.op, fr.payload); werr != nil {
+			t.Fatalf("decoded frame does not re-encode: %v", werr)
 		}
+		if !bytes.Equal(buf.Bytes(), data[:buf.Len()]) {
+			t.Fatalf("re-encoded frame differs from the decoded bytes")
+		}
+		again, rerr := readFrame(&buf)
+		if rerr != nil || again.tag != fr.tag || again.op != fr.op || !bytes.Equal(again.payload, fr.payload) {
+			t.Fatalf("re-decode mismatch: %v", rerr)
+		}
+		again.release()
 	})
 }
 
+// malformedFrames are the byte shapes the malformed-frame tests send
+// after a valid hello: a truncated length prefix, an oversize length, a
+// zero length, a payload shorter than its header promises, and a
+// well-formed frame with an unknown opcode.
+var malformedFrames = [][]byte{
+	{0, 0},
+	{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0, 0, 0, 0, 1, opRead},
+	{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, opRead},
+	{0, 0, 0, 100, 0, 0, 0, 0, 0, 0, 0, 1, opRead, 1, 2, 3},
+	{0, 0, 0, 10, 0, 0, 0, 0, 0, 0, 0, 1, 0xEE, 9},
+}
+
 // TestServerRejectsMalformedFrames drives raw malformed byte streams at
-// a live data server: the server must reply opError (unknown opcode) or
-// close the connection cleanly (corrupt framing), never panic, and never
-// leak the connection or wedge the listener.
+// a live data server after a valid hello: the server must reply opError
+// (unknown opcode) or close the connection cleanly (corrupt framing),
+// never panic, and never leak the connection or wedge the listener.
 func TestServerRejectsMalformedFrames(t *testing.T) {
 	ds, err := NewDataServer("127.0.0.1:0", true)
 	if err != nil {
@@ -76,18 +105,15 @@ func TestServerRejectsMalformedFrames(t *testing.T) {
 		raw       []byte
 		wantReply bool // opError reply expected; otherwise a clean close
 	}{
-		{"truncated length prefix", []byte{0, 0}, false},
-		{"oversize frame", []byte{0xFF, 0xFF, 0xFF, 0xFF, opRead}, false},
-		{"zero-length frame", []byte{0, 0, 0, 0}, false},
-		{"short payload", append([]byte{0, 0, 0, 100, opRead}, 1, 2, 3), false},
-		{"unknown opcode", []byte{0, 0, 0, 2, 0xEE, 9}, true},
+		{"truncated length prefix", malformedFrames[0], false},
+		{"oversize frame", malformedFrames[1], false},
+		{"zero-length frame", malformedFrames[2], false},
+		{"short payload", malformedFrames[3], false},
+		{"unknown opcode", malformedFrames[4], true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			nc, err := net.Dial("tcp", ds.Addr())
-			if err != nil {
-				t.Fatal(err)
-			}
+			nc := dialHello(t, ds.Addr())
 			defer nc.Close()
 			if _, err := nc.Write(tc.raw); err != nil {
 				t.Fatal(err)
@@ -98,26 +124,26 @@ func TestServerRejectsMalformedFrames(t *testing.T) {
 				nc.(*net.TCPConn).CloseWrite()
 			}
 			nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-			msg, err := readMessage(nc)
+			fr, err := readFrame(nc)
 			if tc.wantReply {
 				if err != nil {
 					t.Fatalf("want opError reply, got %v", err)
 				}
-				if msg.op != opError {
-					t.Fatalf("reply opcode = %d, want opError", msg.op)
+				if fr.op != opError {
+					t.Fatalf("reply opcode = %d, want opError", fr.op)
 				}
 				// The connection must still be usable after the error.
 				var e enc
 				e.u64(1)
-				if err := writeMessage(nc, opStat, e.b); err != nil {
+				if _, err := nc.Write(rawFrame(2, opStat, e.b)); err != nil {
 					t.Fatalf("write after error: %v", err)
 				}
-				msg, err = readMessage(nc)
-				if err != nil || msg.op != opOK {
-					t.Fatalf("opStat after opError: %v op=%d", err, msg.op)
+				fr, err = readFrame(nc)
+				if err != nil || fr.op != opOK || fr.tag != 2 {
+					t.Fatalf("opStat after opError: %v op=%d tag=%d", err, fr.op, fr.tag)
 				}
 			} else if err == nil {
-				t.Fatalf("want clean close, got reply op=%d", msg.op)
+				t.Fatalf("want clean close, got reply op=%d", fr.op)
 			} else if err != io.EOF && err != io.ErrUnexpectedEOF {
 				// A reset is acceptable too; a deadline timeout is not —
 				// that means the server neither replied nor closed.
@@ -173,22 +199,25 @@ func TestMalformedFramesThroughFaultyConns(t *testing.T) {
 	defer ds.Close()
 	plan := faults.MustParse("seed=13; partial=1/4; corrupt=1/3; latency=1ms@1/2")
 
-	raws := [][]byte{
-		{0, 0},                           // truncated length prefix
-		{0xFF, 0xFF, 0xFF, 0xFF, opRead}, // oversize frame
-		{0, 0, 0, 0},                     // zero-length frame
-		append([]byte{0, 0, 0, 100, opRead}, 1, 2, 3), // short payload
-		{0, 0, 0, 2, 0xEE, 9},                         // unknown opcode
-	}
+	hello := rawFrame(0, opHello, helloPayload)
 	for round := 0; round < 4; round++ {
-		for _, raw := range raws {
+		for _, raw := range malformedFrames {
 			nc, err := plan.Dial("fuzz", "tcp", ds.Addr(), time.Second)
 			if err != nil {
 				continue // injected dial fault; the point is server health
 			}
-			nc.Write(raw) // may be cut short or mangled by the plan
+			// Hello and frame in one write, which the plan may cut short
+			// or mangle.
+			nc.Write(append(append([]byte(nil), hello...), raw...))
 			nc.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
-			readMessage(nc) // drain a reply if one comes; errors are fine
+			// Drain the hello answer and a reply if they come; errors
+			// are fine.
+			if fr, err := readFrame(nc); err == nil {
+				fr.release()
+				if fr, err := readFrame(nc); err == nil {
+					fr.release()
+				}
+			}
 			nc.Close()
 		}
 	}
@@ -226,50 +255,5 @@ func TestMalformedFramesThroughFaultyConns(t *testing.T) {
 	}
 	if err := c.WriteAt(f, 0, []byte("still alive")); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestMalformedHello sends a corrupt hello payload: the handshake must
-// fail the connection without panicking and without wedging the server.
-func TestMalformedHello(t *testing.T) {
-	ds, err := NewDataServer("127.0.0.1:0", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ds.Close()
-	nc, err := net.Dial("tcp", ds.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	// opHello with a 2-byte payload (u32 required).
-	hdr := []byte{0, 0, 0, 3, opHello, 1, 2}
-	if _, err := nc.Write(hdr); err != nil {
-		t.Fatal(err)
-	}
-	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-	buf := make([]byte, 16)
-	if _, err := nc.Read(buf); err == nil {
-		t.Fatal("server answered a corrupt hello")
-	}
-	// Server still accepts valid traffic.
-	nc2, err := net.Dial("tcp", ds.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc2.Close()
-	var e enc
-	e.u32(uint32(ProtoV2))
-	if err := writeMessage(nc2, opHello, e.b); err != nil {
-		t.Fatal(err)
-	}
-	msg, err := readMessage(nc2)
-	if err != nil || msg.op != opOK {
-		t.Fatalf("hello after corrupt hello: %v op=%d", err, msg.op)
-	}
-	var agreed [4]byte
-	copy(agreed[:], msg.payload)
-	if v := binary.BigEndian.Uint32(agreed[:]); v != ProtoV2 {
-		t.Fatalf("agreed version = %d, want %d", v, ProtoV2)
 	}
 }

@@ -336,94 +336,60 @@ func TestHedgeDoubleReplyBufferSafety(t *testing.T) {
 	}
 }
 
-// TestHedgeInteropMatrix checks the opCancel/opReadDirect wire
-// extension across the protocol matrix: a hedging client against v1
-// (degrades to no hedging at all), v2 without featCancel (hedges via
-// plain re-issue, no cancels), and full v2 in both writer modes.
+// TestHedgeInteropMatrix checks the opCancel/opReadDirect wire path
+// end to end: with every primary read delayed, each read hedges, the
+// hedge (sent as opReadDirect) wins, and the losing primary is
+// cancelled server-side.
 func TestHedgeInteropMatrix(t *testing.T) {
-	cases := []struct {
-		name      string
-		proto     int
-		noVec     bool
-		noCancel  bool
-		wantHedge bool
-	}{
-		{name: "v1", proto: ProtoV1, wantHedge: false},
-		{name: "v2-bufio", proto: 0, noVec: true, wantHedge: true},
-		{name: "v2-vectored", proto: 0, wantHedge: true},
-		{name: "v2-no-cancel", proto: 0, noCancel: true, wantHedge: true},
-	}
 	payload := make([]byte, 16*1024)
 	hedgeTestPattern(payload)
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			ds, err := NewDataServerConfig("127.0.0.1:0", ServerConfig{
-				Store:           NewMemStore(),
-				MaxProto:        tc.proto,
-				DisableVectored: tc.noVec,
-				DisableCancel:   tc.noCancel,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ds.Close()
-			ms, err := NewMetaServer("127.0.0.1:0", 4096, []string{ds.Addr()})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ms.Close()
-			setup := NewClient(ms.Addr())
-			f, err := setup.Create("interop", 1<<20)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := setup.WriteAt(f, 0, payload); err != nil {
-				t.Fatal(err)
-			}
-			setup.Close()
+	ds, err := NewDataServerConfig("127.0.0.1:0", ServerConfig{Store: NewMemStore()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	ms, err := NewMetaServer("127.0.0.1:0", 4096, []string{ds.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ms.Close()
+	setup := NewClient(ms.Addr())
+	f, err := setup.Create("interop", 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := setup.WriteAt(f, 0, payload); err != nil {
+		t.Fatal(err)
+	}
+	setup.Close()
 
-			c := NewClient(ms.Addr())
-			c.FaultPlan = faults.MustParse("seed=5; latency=client:150ms")
-			c.Hedge = true
-			c.HedgeDelay = 5 * time.Millisecond
-			defer c.Close()
-			f, err = c.Open("interop")
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := make([]byte, 1024)
-			const reads = 3
-			for i := 0; i < reads; i++ {
-				off := int64(i) * 2048
-				if err := c.ReadAt(f, off, got); err != nil {
-					t.Fatalf("read %d: %v", i, err)
-				}
-				if !bytes.Equal(got, payload[off:off+1024]) {
-					t.Fatalf("read %d: bytes differ", i)
-				}
-			}
-			st := c.HedgeStats()
-			srv := ds.Stats()
-			if !tc.wantHedge {
-				if st.Fired != 0 {
-					t.Fatalf("v1 peer: hedges fired = %d, want 0 (must degrade to no-hedge)", st.Fired)
-				}
-				return
-			}
-			if st.Won != reads {
-				t.Fatalf("hedge summary = %+v, want %d wins", st, reads)
-			}
-			if tc.noCancel {
-				if st.CancelsSent != 0 || srv.DirectReads != 0 {
-					t.Fatalf("featCancel off: cancels=%d directReads=%d, want 0/0 (plain re-issue only)",
-						st.CancelsSent, srv.DirectReads)
-				}
-			} else {
-				if st.CancelsSent != reads || srv.DirectReads != reads {
-					t.Fatalf("cancels=%d directReads=%d, want %d/%d", st.CancelsSent, srv.DirectReads, reads, reads)
-				}
-			}
-		})
+	c := NewClient(ms.Addr())
+	c.FaultPlan = faults.MustParse("seed=5; latency=client:150ms")
+	c.Hedge = true
+	c.HedgeDelay = 5 * time.Millisecond
+	defer c.Close()
+	f, err = c.Open("interop")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, 1024)
+	const reads = 3
+	for i := 0; i < reads; i++ {
+		off := int64(i) * 2048
+		if err := c.ReadAt(f, off, got); err != nil {
+			t.Fatalf("read %d: %v", i, err)
+		}
+		if !bytes.Equal(got, payload[off:off+1024]) {
+			t.Fatalf("read %d: bytes differ", i)
+		}
+	}
+	st := c.HedgeStats()
+	srv := ds.Stats()
+	if st.Won != reads {
+		t.Fatalf("hedge summary = %+v, want %d wins", st, reads)
+	}
+	if st.CancelsSent != reads || srv.DirectReads != reads {
+		t.Fatalf("cancels=%d directReads=%d, want %d/%d", st.CancelsSent, srv.DirectReads, reads, reads)
 	}
 }
 

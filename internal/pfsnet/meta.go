@@ -1,9 +1,7 @@
 package pfsnet
 
 import (
-	"bufio"
 	"fmt"
-	"log"
 	"math"
 	"net"
 	"sync"
@@ -17,11 +15,9 @@ import (
 // MetaServer is the metadata service: it owns the namespace and the
 // striping layout, and tells clients which data servers hold a file.
 type MetaServer struct {
-	ln        net.Listener
-	unit      int64
-	servers   []string // data server addresses, in stripe order
-	ioTimeout time.Duration
-	wm        *wireMetrics
+	connServer
+	unit    int64
+	servers []string // data server addresses, in stripe order
 
 	mu     sync.Mutex
 	files  map[string]fileMeta
@@ -31,13 +27,6 @@ type MetaServer struct {
 	// replies carry it as trailing payload bytes old clients ignore;
 	// hedging clients consume it for cold-start issue ordering.
 	loadHints []float64
-
-	wg        sync.WaitGroup
-	quit      chan struct{}
-	closeOnce sync.Once
-
-	connMu sync.Mutex
-	conns  map[net.Conn]struct{}
 }
 
 type fileMeta struct {
@@ -78,18 +67,21 @@ func NewMetaServerConfig(addr string, unit int64, dataServers []string, cfg Meta
 		return nil, err
 	}
 	s := &MetaServer{
-		ln:        cfg.FaultPlan.WrapListener(ln, cfg.FaultScope),
-		unit:      unit,
-		servers:   append([]string(nil), dataServers...),
-		ioTimeout: cfg.IOTimeout,
-		wm:        newWireMetrics(cfg.Obs, "pfsnet.meta."),
-		files:     make(map[string]fileMeta),
-		nextID:    1,
-		quit:      make(chan struct{}),
-		conns:     make(map[net.Conn]struct{}),
+		// Metadata requests are a handful per file and serialize on s.mu
+		// anyway; one worker keeps replies in arrival order.
+		connServer: connServer{
+			name:      "pfsnet meta",
+			workers:   1,
+			ioTimeout: cfg.IOTimeout,
+			wm:        newWireMetrics(cfg.Obs, "pfsnet.meta."),
+		},
+		unit:    unit,
+		servers: append([]string(nil), dataServers...),
+		files:   make(map[string]fileMeta),
+		nextID:  1,
 	}
-	s.wg.Add(1)
-	go s.accept()
+	s.handle = s.dispatch
+	s.serve(cfg.FaultPlan.WrapListener(ln, cfg.FaultScope))
 	return s, nil
 }
 
@@ -99,74 +91,8 @@ func (s *MetaServer) Addr() string { return s.ln.Addr().String() }
 // Close stops the server, severing open client connections. It is
 // idempotent, like DataServer.Close.
 func (s *MetaServer) Close() error {
-	var first bool
-	s.closeOnce.Do(func() { close(s.quit); first = true })
-	if !first {
-		return nil
-	}
-	err := s.ln.Close()
-	// Snapshot under the lock, sever outside it: Close on a TCP conn
-	// can block, and handlers need connMu to unregister themselves.
-	s.connMu.Lock()
-	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		//lint:allow detmaprange severing connections; close order is immaterial
-		conns = append(conns, c)
-	}
-	s.connMu.Unlock()
-	for _, c := range conns {
-		c.Close()
-	}
-	s.wg.Wait()
+	_, err := s.shutdown()
 	return err
-}
-
-func (s *MetaServer) accept() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			select {
-			case <-s.quit:
-				return
-			default:
-				log.Printf("pfsnet meta: accept: %v", err)
-				return
-			}
-		}
-		s.connMu.Lock()
-		s.conns[conn] = struct{}{}
-		s.connMu.Unlock()
-		s.wg.Add(1)
-		go s.serveConn(conn)
-	}
-}
-
-func (s *MetaServer) serveConn(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		s.connMu.Lock()
-		delete(s.conns, conn)
-		s.connMu.Unlock()
-		conn.Close()
-	}()
-	br := bufio.NewReaderSize(conn, connBufSize)
-	bw := bufio.NewWriterSize(conn, connBufSize)
-	// Metadata traffic is a handful of round trips per file, so the
-	// sequential loop serves both protocol versions; v2 peers still get
-	// tagged replies (in order, which v2 permits).
-	// The meta server never negotiates featTrace (features = 0): clients
-	// therefore never flag metadata frames, and the sequential loop can
-	// stay ignorant of trace contexts.
-	ver, _, first, hasFirst, err := serverHandshake(br, bw, maxProtoVersion, 0)
-	if err != nil {
-		return
-	}
-	var firstp *frame
-	if hasFirst {
-		firstp = &first
-	}
-	serveFrames(conn, br, bw, ver, firstp, s.wm, s.ioTimeout, s.dispatch)
 }
 
 // dispatch executes one metadata request.

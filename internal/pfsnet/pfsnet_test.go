@@ -306,23 +306,23 @@ func TestDataServerStats(t *testing.T) {
 
 func TestProtocolRejectsGarbage(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeMessage(&buf, opRead, []byte{1, 2, 3}); err != nil {
+	if err := writeFrame(&buf, 5, opRead, []byte{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	msg, err := readMessage(&buf)
-	if err != nil || msg.op != opRead || len(msg.payload) != 3 {
-		t.Fatalf("round trip: %v %+v", err, msg)
+	fr, err := readFrame(&buf)
+	if err != nil || fr.tag != 5 || fr.op != opRead || len(fr.payload) != 3 {
+		t.Fatalf("round trip: %v %+v", err, fr)
 	}
 	// Truncated frame.
 	buf.Reset()
-	buf.Write([]byte{0, 0, 0, 10, opRead, 1})
-	if _, err := readMessage(&buf); err == nil {
+	buf.Write([]byte{0, 0, 0, 20, 0, 0, 0, 0, 0, 0, 0, 1, opRead, 1})
+	if _, err := readFrame(&buf); err == nil {
 		t.Fatal("truncated frame accepted")
 	}
 	// Oversized frame header.
 	buf.Reset()
-	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF, opRead})
-	if _, err := readMessage(&buf); err == nil {
+	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0, 0, 0, 0, 1, opRead})
+	if _, err := readFrame(&buf); err == nil {
 		t.Fatal("oversized frame accepted")
 	}
 }

@@ -13,37 +13,26 @@
 // lives in the simulator (internal/cluster), since host disks are not the
 // paper's devices.
 //
-// Wire format, protocol v1: every message is a 4-byte big-endian length
-// followed by a 1-byte opcode and an opcode-specific payload. Strings and
-// byte blobs are 4-byte-length-prefixed. All integers are big-endian.
+// Wire format: every message is one frame — a 4-byte big-endian length,
+// an 8-byte request tag, a 1-byte opcode, and an opcode-specific
+// payload; the length counts everything after itself. Strings and byte
+// blobs inside payloads are 4-byte-length-prefixed, and all integers are
+// big-endian. The requester chooses the tag and the reply echoes it, so
+// many requests multiplex over one connection with out-of-order replies
+// — the wire-level analogue of getting many independent sub-requests in
+// flight per server at once. A request whose tag carries tagTraceFlag
+// prefixes its payload with a trace context (DESIGN §12).
 //
-// Protocol v2 (negotiated at connect time, see below) inserts an 8-byte
-// request tag between the length and the opcode. The tag is chosen by
-// the requester and echoed verbatim in the reply, which lets many
-// requests multiplex over one connection with out-of-order replies —
-// the wire-level analogue of getting many independent sub-requests in
-// flight per server at once.
-//
-// Negotiation: a v2 client opens every connection by sending a v1-framed
-// opHello carrying its maximum supported version. A v2 server replies
-// opOK with the agreed version (the minimum of the two maxima) and both
-// sides switch framing; a v1 server rejects the unknown opcode with
-// opError, which the client takes as "v1 peer" and falls back. A v1
-// client never sends opHello, so a v2 server simply keeps speaking v1 on
-// that connection.
-//
-// Feature negotiation rides the same hello: a client may append a u32
-// feature bitmask to the hello payload, and a feature-aware server
-// answers with a second u32 of the agreed set. Because frame decoders
-// ignore trailing payload bytes, peers that predate features simply
-// never see the word and the set degrades to empty — the same
-// transparent-fallback story as the version itself. The only feature
-// today is featTrace, the per-frame trace-context extension (see
-// DESIGN §12).
+// The first frame on every connection is an opHello whose payload is
+// {magic u32, version u32}. The server answers opOK. A wrong magic or
+// version, a short hello, or any other first frame makes the server
+// close the connection without dispatching anything. Both ends are
+// built from this tree, so there is nothing to negotiate.
 package pfsnet
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -65,61 +54,37 @@ const (
 	opOK
 	opError
 	opHello
-	// opCancel asks a v2 data server to drop a queued request (payload:
-	// target tag u64). Fire-and-forget: it never receives a reply, and a
-	// client only sends it for a tag it has already abandoned, so the
-	// server honouring it (by never replying to the target) is
-	// indistinguishable from the reply losing the race. Only valid on
-	// connections that negotiated featCancel.
+	// opCancel asks a server to drop a queued request (payload: target
+	// tag u64). Fire-and-forget: it never receives a reply, and a client
+	// only sends it for a tag it has already abandoned, so the server
+	// honouring it (by never replying to the target) is
+	// indistinguishable from the reply losing the race.
 	opCancel
 	// opReadDirect is opRead with a routing hint: the requester is a
 	// hedge re-issue and the server should prefer its direct (store)
 	// path over any queue-optimised handling. Semantically identical to
 	// opRead — the fragment-log overlay still applies, because hedged
-	// reads must return the same bytes as the original. Only sent on
-	// connections that negotiated featCancel (which implies a server new
-	// enough to know the opcode).
+	// reads must return the same bytes as the original.
 	opReadDirect
 )
 
-// Wire protocol versions.
+// The hello payload: the magic identifies a pfsnet peer and the version
+// this frame layout.
 const (
-	ProtoV1 = 1 // one frame per message, in-order request/reply
-	ProtoV2 = 2 // tagged frames, multiplexed, out-of-order replies
-
-	maxProtoVersion = ProtoV2
+	helloMagic   uint32 = 0x69427267 // "iBrg"
+	protoVersion uint32 = 2
 )
 
-// Feature bits, exchanged as an optional second u32 in the opHello
-// payload and its opOK reply. Decoders ignore trailing payload bytes,
-// so a features word appended by a new peer is invisible to an old
-// one: an old server replies with the bare agreed version (no
-// features), an old client never sends the word, and in both cases
-// the feature set degrades to empty. A feature is active on a
-// connection only when both sides advertised it.
-const (
-	// featTrace enables the trace-context frame extension: v2 request
-	// frames whose tag carries tagTraceFlag are prefixed with a
-	// traceCtxSize-byte {traceID u64, parentSpanID u64} context that the
-	// server strips before dispatch and attributes its spans to.
-	// Replies never carry a context and echo the tag with the flag
-	// cleared.
-	featTrace uint32 = 1 << 0
+// helloPayload is the encoded {helloMagic, protoVersion} every
+// connection opens with.
+var helloPayload = binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint32(nil, helloMagic), protoVersion)
 
-	// featCancel enables the hedged-read wire extension: the opCancel
-	// fire-and-forget frame (the server drops the named queued request
-	// without replying) and the opReadDirect routing hint. Hedging
-	// clients advertise it; servers accept it unless configured as
-	// legacy peers (ServerConfig.DisableCancel). Against a peer that
-	// did not negotiate it the client degrades to plain re-issued
-	// opRead hedges with no cancellation, and against v1 peers to no
-	// hedging at all.
-	featCancel uint32 = 1 << 1
-)
-
-// tagTraceFlag marks a v2 request frame carrying a trace context.
-// Client tags are allocated sequentially from 1, so bit 63 is never an
-// ordinary tag bit.
+// tagTraceFlag marks a request frame carrying a trace context: the
+// payload is prefixed with a traceCtxSize-byte {traceID u64,
+// parentSpanID u64} that the server strips before dispatch and
+// attributes its spans to. Replies never carry a context and echo the
+// tag with the flag cleared. Client tags are allocated sequentially from
+// 1, so bit 63 is never an ordinary tag bit.
 const tagTraceFlag = uint64(1) << 63
 
 // traceCtxSize is the encoded size of the per-frame trace context:
@@ -151,39 +116,8 @@ var (
 	ErrShort    = fmt.Errorf("pfsnet: short/corrupt message (%w)", ErrCorruptFrame)
 )
 
-// message is a decoded v1 frame.
-type message struct {
-	op      byte
-	payload []byte
-}
-
-// writeMessage frames and sends op+payload in v1 framing.
-func writeMessage(w io.Writer, op byte, payload []byte) error {
-	return writeFrame(w, ProtoV1, 0, op, payload)
-}
-
-// readMessage reads one v1 frame, allocating the payload (the pooled
-// path is readFrame; this form is kept for tests and fuzzing against
-// arbitrary readers).
-func readMessage(r io.Reader) (message, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return message{}, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:4])
-	if n == 0 || n > MaxMessage {
-		return message{}, ErrTooLarge
-	}
-	payload := make([]byte, n-1)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return message{}, err
-	}
-	return message{op: hdr[4], payload: payload}, nil
-}
-
-// frame is one decoded wire frame. In v1 framing the tag is always 0.
-// The payload is pool-backed: call release (or putBuf) once the bytes
-// have been consumed.
+// frame is one decoded wire frame. The payload is pool-backed: call
+// release (or putBuf) once the bytes have been consumed.
 type frame struct {
 	tag     uint64
 	op      byte
@@ -216,82 +150,33 @@ func (f *frame) body() []byte {
 	return f.payload
 }
 
-// writeFrame frames and sends one message at the given protocol version.
-// The writer is typically a *bufio.Writer: the header and payload land in
-// its buffer and the caller decides when to flush (corking many frames
-// into one syscall).
-func writeFrame(w io.Writer, ver int, tag uint64, op byte, payload []byte) error {
-	var hdr [13]byte
-	var hn int
-	if ver >= ProtoV2 {
-		if len(payload)+9 > MaxMessage {
-			return ErrTooLarge
-		}
-		binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)+9))
-		binary.BigEndian.PutUint64(hdr[4:12], tag)
-		hdr[12] = op
-		hn = 13
-	} else {
-		if len(payload)+1 > MaxMessage {
-			return ErrTooLarge
-		}
-		binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)+1))
-		hdr[4] = op
-		hn = 5
-	}
-	if _, err := w.Write(hdr[:hn]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
-// writeFrameCtx frames and sends one v2 request carrying a trace
-// context: the tag goes out with tagTraceFlag set and the payload is
-// preceded by the 16-byte {traceID, parentSpanID} context. Only valid
-// on connections that negotiated featTrace.
-func writeFrameCtx(w io.Writer, tag uint64, op byte, tcID, tcSpan uint64, payload []byte) error {
-	var hdr [13 + traceCtxSize]byte
-	if len(payload)+9+traceCtxSize > MaxMessage {
+// writeFrame frames and sends one message with a single Write. The
+// pipelined paths batch frames through a vecWriter instead; this form
+// sends the hello and its answer.
+func writeFrame(w io.Writer, tag uint64, op byte, payload []byte) error {
+	if len(payload)+9 > MaxMessage {
 		return ErrTooLarge
 	}
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)+9+traceCtxSize))
-	//lint:allow featgate encode helper below the gate: callers reach writeFrameCtx only with a tcID set under a featTrace check (DESIGN §12)
-	binary.BigEndian.PutUint64(hdr[4:12], tag|tagTraceFlag)
-	hdr[12] = op
-	binary.BigEndian.PutUint64(hdr[13:21], tcID)
-	binary.BigEndian.PutUint64(hdr[21:29], tcSpan)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
+	b := make([]byte, 13, 13+len(payload))
+	binary.BigEndian.PutUint32(b[:4], uint32(len(payload)+9))
+	binary.BigEndian.PutUint64(b[4:12], tag)
+	b[12] = op
+	_, err := w.Write(append(b, payload...))
 	return err
 }
 
-// readFrame reads one frame at the given protocol version into a pooled
-// payload buffer.
-func readFrame(r io.Reader, ver int) (frame, error) {
+// readFrame reads one frame into a pooled payload buffer.
+func readFrame(r io.Reader) (frame, error) {
 	var hdr [13]byte
-	hn := 5
-	if ver >= ProtoV2 {
-		hn = 13
-	}
-	if _, err := io.ReadFull(r, hdr[:hn]); err != nil {
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return frame{}, err
 	}
 	n := binary.BigEndian.Uint32(hdr[:4])
-	overhead := uint32(hn - 4)
-	if n < overhead || n > MaxMessage {
+	if n < 9 || n > MaxMessage {
 		return frame{}, ErrTooLarge
 	}
-	var fr frame
-	if ver >= ProtoV2 {
-		fr.tag = binary.BigEndian.Uint64(hdr[4:12])
-		fr.op = hdr[12]
-	} else {
-		fr.op = hdr[4]
-	}
-	fr.payload = getBuf(int(n - overhead))
+	fr := frame{tag: binary.BigEndian.Uint64(hdr[4:12]), op: hdr[12]}
+	fr.payload = getBuf(int(n - 9))
 	if _, err := io.ReadFull(r, fr.payload); err != nil {
 		fr.release()
 		return frame{}, wrapTruncated(err)
@@ -456,58 +341,21 @@ func replyError(payload []byte) error {
 	return remoteError{msg: msg}
 }
 
-// serverHandshake inspects the leading frame of a fresh connection. A
-// v2-capable server intercepts an opHello, answers with the agreed
-// version, and returns it; any other first frame means a v1 client, and
-// the frame is handed back for normal dispatch. When maxProto caps the
-// server at v1 the hello is likewise handed back, so the normal dispatch
-// path rejects the unknown opcode exactly as a legacy server would.
-//
-// features is the server's advertised feature set. Feature words are
-// only exchanged with clients that sent one: the reply to a bare
-// {maxProto} hello is a bare {agreed}, byte-identical to what an older
-// server would send, and the returned feats is then 0.
-func serverHandshake(br *bufio.Reader, bw *bufio.Writer, maxProto int, features uint32) (ver int, feats uint32, first frame, hasFirst bool, err error) {
-	fr, err := readFrame(br, ProtoV1)
+// serverHello reads the first frame of a connection and answers a
+// valid hello with opOK. Any other first frame is an error: the caller
+// closes the connection without dispatching anything.
+func serverHello(nc net.Conn, br *bufio.Reader) error {
+	fr, err := readFrame(br)
 	if err != nil {
-		return 0, 0, frame{}, false, err
+		return err
 	}
-	if fr.op != opHello || maxProto < ProtoV2 {
-		return ProtoV1, 0, fr, true, nil
-	}
-	d := dec{b: fr.payload}
-	clientMax := int(d.u32())
-	var clientFeats uint32
-	hasFeats := len(fr.payload) >= 8
-	if hasFeats {
-		clientFeats = d.u32()
-	}
+	ok := fr.op == opHello && bytes.Equal(fr.payload, helloPayload)
+	tag := fr.tag
 	fr.release()
-	if d.err != nil {
-		return 0, 0, frame{}, false, d.err
+	if !ok {
+		return fmt.Errorf("pfsnet: connection did not open with a valid hello (%w)", ErrCorruptFrame)
 	}
-	agreed := min(clientMax, maxProto)
-	if agreed < ProtoV1 {
-		agreed = ProtoV1
-	}
-	feats = clientFeats & features
-	if agreed < ProtoV2 {
-		feats = 0 // features are a v2 frame extension
-	}
-	e := newEnc()
-	e.u32(uint32(agreed))
-	if hasFeats {
-		e.u32(feats)
-	}
-	werr := writeFrame(bw, ProtoV1, 0, opOK, e.b)
-	putBuf(e.b)
-	if werr != nil {
-		return 0, 0, frame{}, false, werr
-	}
-	if err := bw.Flush(); err != nil {
-		return 0, 0, frame{}, false, err
-	}
-	return agreed, feats, frame{}, false, nil
+	return writeFrame(nc, tag, opOK, nil)
 }
 
 // isTimeout reports whether err is a net-level deadline expiry.
@@ -524,46 +372,4 @@ func wrapTimeout(err error) error {
 		return fmt.Errorf("%v (%w)", err, ErrDeadline)
 	}
 	return err
-}
-
-// serveFrames runs a sequential request loop at the given protocol
-// version: read a frame, dispatch it, reply with the echoed tag, flush.
-// This is the whole server for v1 connections (which require in-order
-// replies) and for low-rate services like the metadata server, where
-// handler concurrency buys nothing. first, when non-nil, is a frame the
-// handshake already read. ioTimeout, when positive, bounds each frame
-// read and each reply write so a stalled or half-open peer cannot pin
-// the handler goroutine forever (nc must be the underlying conn).
-func serveFrames(nc net.Conn, br *bufio.Reader, bw *bufio.Writer, ver int, first *frame, wm *wireMetrics, ioTimeout time.Duration, dispatch func(op byte, payload []byte) (byte, []byte)) {
-	for {
-		var fr frame
-		if first != nil {
-			fr, first = *first, nil
-		} else {
-			if ioTimeout > 0 {
-				nc.SetReadDeadline(time.Now().Add(ioTimeout))
-			}
-			var err error
-			fr, err = readFrame(br, ver)
-			if err != nil {
-				return
-			}
-		}
-		wm.onRx(len(fr.payload))
-		op, reply := dispatch(fr.op, fr.payload)
-		fr.release()
-		n := len(reply)
-		if ioTimeout > 0 {
-			nc.SetWriteDeadline(time.Now().Add(ioTimeout))
-		}
-		err := writeFrame(bw, ver, fr.tag, op, reply)
-		putBuf(reply)
-		if err != nil {
-			return
-		}
-		if err := bw.Flush(); err != nil {
-			return
-		}
-		wm.onTx(n)
-	}
 }

@@ -82,37 +82,31 @@ func TestBreakerStateMachine(t *testing.T) {
 }
 
 // TestIOTimeoutDeadline checks that a server that accepts requests but
-// never answers in time fails the call with ErrDeadline, at both
-// protocol versions.
+// never answers in time fails the call with ErrDeadline.
 func TestIOTimeoutDeadline(t *testing.T) {
-	for _, maxProto := range []int{0, 1} {
-		t.Run(fmt.Sprintf("maxproto=%d", maxProto), func(t *testing.T) {
-			store := slowStore{ObjectStore: NewMemStore(), delay: time.Second}
-			c, _, _ := resilienceCluster(t, ServerConfig{Store: store}, func(c *Client) {
-				c.MaxProto = maxProto
-				c.IOTimeout = 100 * time.Millisecond
-				c.MaxRetries = -1
-				c.Obs = obs.NewRegistry()
-			})
-			f, err := c.Create("slow", 1<<20)
-			if err != nil {
-				t.Fatal(err)
-			}
-			start := time.Now()
-			err = c.ReadAt(f, 0, make([]byte, 512))
-			if err == nil {
-				t.Fatal("read against stalled server succeeded")
-			}
-			if !errors.Is(err, ErrDeadline) {
-				t.Fatalf("error = %v, want ErrDeadline", err)
-			}
-			if el := time.Since(start); el > 1500*time.Millisecond {
-				t.Fatalf("deadline took %v, bound is 100ms", el)
-			}
-			if v := c.Obs.Counter("pfsnet.client.deadline_exceeded").Value(); v == 0 {
-				t.Fatal("deadline_exceeded counter not incremented")
-			}
-		})
+	store := slowStore{ObjectStore: NewMemStore(), delay: time.Second}
+	c, _, _ := resilienceCluster(t, ServerConfig{Store: store}, func(c *Client) {
+		c.IOTimeout = 100 * time.Millisecond
+		c.MaxRetries = -1
+		c.Obs = obs.NewRegistry()
+	})
+	f, err := c.Create("slow", 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	err = c.ReadAt(f, 0, make([]byte, 512))
+	if err == nil {
+		t.Fatal("read against stalled server succeeded")
+	}
+	if !errors.Is(err, ErrDeadline) {
+		t.Fatalf("error = %v, want ErrDeadline", err)
+	}
+	if el := time.Since(start); el > 1500*time.Millisecond {
+		t.Fatalf("deadline took %v, bound is 100ms", el)
+	}
+	if v := c.Obs.Counter("pfsnet.client.deadline_exceeded").Value(); v == 0 {
+		t.Fatal("deadline_exceeded counter not incremented")
 	}
 }
 
@@ -265,57 +259,6 @@ func TestChaosDeterminism(t *testing.T) {
 	}
 	if counts1["reset"] == 0 {
 		t.Fatal("plan fired nothing; determinism check is vacuous")
-	}
-}
-
-// TestFallbackNegotiationUnderResets round-trips data in the
-// version-mismatch pairings while a reset plan kills connections: the
-// fallback handshake must survive injected failures at dial time too.
-func TestFallbackNegotiationUnderResets(t *testing.T) {
-	cases := []struct {
-		name                 string
-		clientMax, serverMax int
-		wantVer              int
-	}{
-		{"v1 client, v2 server", 1, 0, ProtoV1},
-		{"v2 client, v1 server", 0, 1, ProtoV1},
-		{"v2 client, v2 server", 0, 0, ProtoV2},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			plan := faults.MustParse("seed=5; reset=1/7")
-			c, ds, _ := resilienceCluster(t, ServerConfig{MaxProto: tc.serverMax}, func(c *Client) {
-				c.MaxProto = tc.clientMax
-				c.FaultPlan = plan
-				c.MaxRetries = 5
-				c.RetryBackoff = time.Millisecond
-			})
-			f, err := c.Create("fallback", 1<<20)
-			if err != nil {
-				t.Fatal(err)
-			}
-			payload := make([]byte, 65*1024)
-			for i := range payload {
-				payload[i] = byte(i)
-			}
-			if err := c.WriteAt(f, 0, payload); err != nil {
-				t.Fatal(err)
-			}
-			got := make([]byte, len(payload))
-			if err := c.ReadAt(f, 0, got); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, payload) {
-				t.Fatal("data mismatch under resets")
-			}
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			for i, cn := range c.data[ds.Addr()] {
-				if cn.ver != tc.wantVer {
-					t.Fatalf("conn %d negotiated v%d, want v%d", i, cn.ver, tc.wantVer)
-				}
-			}
-		})
 	}
 }
 

@@ -82,31 +82,19 @@ func (w *vecWriter) ensure(n int) {
 // writeFrame queues one frame for the next flush. Ownership of payload
 // transfers to the writer on entry — error included — and the writer
 // releases it exactly once.
-func (w *vecWriter) writeFrame(ver int, tag uint64, op byte, payload []byte) error {
+func (w *vecWriter) writeFrame(tag uint64, op byte, payload []byte) error {
 	var hdr [13]byte
-	var hn int
-	if ver >= ProtoV2 {
-		if len(payload)+9 > MaxMessage {
-			putBuf(payload)
-			return ErrTooLarge
-		}
-		binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)+9))
-		binary.BigEndian.PutUint64(hdr[4:12], tag)
-		hdr[12] = op
-		hn = 13
-	} else {
-		if len(payload)+1 > MaxMessage {
-			putBuf(payload)
-			return ErrTooLarge
-		}
-		binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)+1))
-		hdr[4] = op
-		hn = 5
+	if len(payload)+9 > MaxMessage {
+		putBuf(payload)
+		return ErrTooLarge
 	}
-	return w.enqueue(hdr[:hn], payload)
+	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)+9))
+	binary.BigEndian.PutUint64(hdr[4:12], tag)
+	hdr[12] = op
+	return w.enqueue(hdr[:], payload)
 }
 
-// writeFrameCtx queues one v2 request frame carrying a trace context:
+// writeFrameCtx queues one request frame carrying a trace context:
 // tagTraceFlag set on the tag, {traceID, parentSpanID} written into
 // the arena right behind the header so the context always travels in
 // the same iovec as the header. Same ownership contract as writeFrame.
@@ -117,7 +105,6 @@ func (w *vecWriter) writeFrameCtx(tag uint64, op byte, tcID, tcSpan uint64, payl
 		return ErrTooLarge
 	}
 	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)+9+traceCtxSize))
-	//lint:allow featgate encode helper below the gate: callers reach writeFrameCtx only with a tcID set under a featTrace check (DESIGN §12)
 	binary.BigEndian.PutUint64(hdr[4:12], tag|tagTraceFlag)
 	hdr[12] = op
 	binary.BigEndian.PutUint64(hdr[13:21], tcID)
