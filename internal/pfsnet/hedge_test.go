@@ -341,6 +341,10 @@ func TestHedgeDoubleReplyBufferSafety(t *testing.T) {
 // hedge (sent as opReadDirect) wins, and the losing primary is
 // cancelled server-side.
 func TestHedgeInteropMatrix(t *testing.T) {
+	t.Run("v2-vectored", testHedgeCancelInterop)
+}
+
+func testHedgeCancelInterop(t *testing.T) {
 	payload := make([]byte, 16*1024)
 	hedgeTestPattern(payload)
 	ds, err := NewDataServerConfig("127.0.0.1:0", ServerConfig{Store: NewMemStore()})

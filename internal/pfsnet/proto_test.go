@@ -9,7 +9,6 @@ import (
 	"testing/quick"
 	"time"
 
-	"repro/internal/faults"
 	"repro/internal/stripe"
 )
 
@@ -95,9 +94,8 @@ func TestWriteMessageRejectsOversize(t *testing.T) {
 // TestHello checks the frame every connection opens with. A server
 // closes a connection whose first frame is not a valid hello without
 // dispatching anything, even when requests follow it; a valid hello is
-// answered and the connection then serves requests; a client whose
-// hello is refused gets an error from the dial; and a client dialling
-// through a connection-reset plan still round-trips its data.
+// answered and the connection then serves requests; and a client whose
+// hello is refused gets an error from the dial.
 func TestHello(t *testing.T) {
 	ds, err := NewDataServer("127.0.0.1:0", false)
 	if err != nil {
@@ -198,33 +196,4 @@ func TestHello(t *testing.T) {
 		}
 	})
 
-	t.Run("round trip under resets", func(t *testing.T) {
-		plan := faults.MustParse("seed=5; reset=1/7")
-		c, _, _ := resilienceCluster(t, ServerConfig{}, func(c *Client) {
-			c.FaultPlan = plan
-			c.MaxRetries = 5
-			c.RetryBackoff = time.Millisecond
-		})
-		f, err := c.Create("resets", 1<<20)
-		if err != nil {
-			t.Fatal(err)
-		}
-		payload := make([]byte, 65*1024)
-		for i := range payload {
-			payload[i] = byte(i)
-		}
-		if err := c.WriteAt(f, 0, payload); err != nil {
-			t.Fatal(err)
-		}
-		got := make([]byte, len(payload))
-		if err := c.ReadAt(f, 0, got); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, payload) {
-			t.Fatal("data mismatch under resets")
-		}
-		if plan.Counts()["reset"] == 0 {
-			t.Fatal("plan injected no resets; the case is vacuous")
-		}
-	})
 }

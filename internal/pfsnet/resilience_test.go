@@ -84,6 +84,12 @@ func TestBreakerStateMachine(t *testing.T) {
 // TestIOTimeoutDeadline checks that a server that accepts requests but
 // never answers in time fails the call with ErrDeadline.
 func TestIOTimeoutDeadline(t *testing.T) {
+	// The case keeps the name it had when MaxProto chose the protocol:
+	// 0 was the default, now the only one.
+	t.Run("maxproto=0", testIOTimeoutDeadline)
+}
+
+func testIOTimeoutDeadline(t *testing.T) {
 	store := slowStore{ObjectStore: NewMemStore(), delay: time.Second}
 	c, _, _ := resilienceCluster(t, ServerConfig{Store: store}, func(c *Client) {
 		c.IOTimeout = 100 * time.Millisecond
@@ -260,6 +266,48 @@ func TestChaosDeterminism(t *testing.T) {
 	if counts1["reset"] == 0 {
 		t.Fatal("plan fired nothing; determinism check is vacuous")
 	}
+}
+
+// TestFallbackNegotiationUnderResets dials through a connection-reset
+// plan: every redial repeats the hello on a fresh connection, and the
+// data must still round-trip once the retries get through.
+func TestFallbackNegotiationUnderResets(t *testing.T) {
+	t.Run("v2 client, v2 server", func(t *testing.T) {
+		plan := faults.MustParse("seed=5; reset=1/7")
+		c, ds, _ := resilienceCluster(t, ServerConfig{}, func(c *Client) {
+			c.FaultPlan = plan
+			c.MaxRetries = 5
+			c.RetryBackoff = time.Millisecond
+		})
+		f, err := c.Create("fallback", 1<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload := make([]byte, 65*1024)
+		for i := range payload {
+			payload[i] = byte(i)
+		}
+		if err := c.WriteAt(f, 0, payload); err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, len(payload))
+		if err := c.ReadAt(f, 0, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, payload) {
+			t.Fatal("data mismatch under resets")
+		}
+		if plan.Counts()["reset"] == 0 {
+			t.Fatal("plan injected no resets; the case is vacuous")
+		}
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		for i, cn := range c.data[ds.Addr()] {
+			if cn.sendq == nil {
+				t.Fatalf("conn %d has no pipelined writer after the hello", i)
+			}
+		}
+	})
 }
 
 // TestCorruptionRecovery injects read-side frame corruption into the

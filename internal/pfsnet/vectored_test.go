@@ -21,6 +21,12 @@ import (
 // is byte-identical to what was written: the zero-copy path must be
 // invisible at the payload level.
 func TestInteropMatrix(t *testing.T) {
+	t.Run("server=v2-vectored", func(t *testing.T) {
+		t.Run("client=v2-vectored", testVectoredInterop)
+	})
+}
+
+func testVectoredInterop(t *testing.T) {
 	const unit = 4096
 	rng := sim.NewRNG(42)
 	ref := make([]byte, 10*unit+517) // ~10 units over 4 servers, unaligned tail
