@@ -168,15 +168,12 @@ func main() {
 
 // writeTrace dumps the buffered request-flow trace as Chrome trace_event
 // JSON.
-func writeTrace(tr *obs.Tracer, path string) error {
-	if tr == nil {
-		return nil
-	}
+func writeTrace(tr *obs.XTracer, path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := tr.WriteChrome(f); err != nil {
+	if err := obs.WriteChromeX(f, tr.Events()); err != nil {
 		f.Close()
 		return fmt.Errorf("trace %s: %w", path, err)
 	}

@@ -123,14 +123,13 @@ func main() {
 		set.WriteMetrics(os.Stdout)
 		set.WriteTiSeries(os.Stdout)
 	}
-	// Tracer() is non-nil exactly when -trace enabled it above; binding
-	// it keeps the nil-sink contract checkable (obsnil analyzer).
+	// Tracer() is non-nil exactly when -trace enabled it above.
 	if tr := set.Tracer(); tr != nil && *traceTo != "" {
 		f, err := os.Create(*traceTo)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := tr.WriteChrome(f); err != nil {
+		if err := obs.WriteChromeX(f, tr.Events()); err != nil {
 			log.Fatal(err)
 		}
 		if err := f.Close(); err != nil {

@@ -10,24 +10,23 @@ import (
 // zero-cost-when-off nil-sink contract.
 const obsPkgPath = "repro/internal/obs"
 
-// ObsNil enforces the nil-sink contract from PR 2: a component holds a
-// possibly-nil pointer to an obs metric bundle (*obs.XxxMetrics) or
-// tracer (*obs.Tracer), and every probe site must be dominated by a nil
-// check on that pointer. An unguarded dereference compiles fine, passes
+// ObsNil enforces the nil-sink contract: a component holds a
+// possibly-nil pointer to an obs metric bundle (*obs.XxxMetrics), and
+// every probe site must be dominated by a nil check on that pointer. An unguarded dereference compiles fine, passes
 // every metrics-on test, and then panics the first time a user runs
 // with observability disabled — the exact regression this analyzer
 // pins down at build time.
 var ObsNil = &Analyzer{
 	Name: "obsnil",
-	Doc:  "require a dominating nil check before dereferencing obs metric bundles and tracers",
+	Doc:  "require a dominating nil check before dereferencing obs metric bundles",
 	Run:  runObsNil,
 }
 
-// isObsBundlePtr reports whether t is a pointer to one of the obs
-// nil-sink types: a metric bundle (name ends in "Metrics") or the
-// Tracer. *obs.Set and the leaf Counter/Gauge/Hist types are excluded —
-// Set's methods are internally nil-safe, and the leaves are only
-// reachable through an already-guarded bundle.
+// isObsBundlePtr reports whether t is a pointer to an obs metric bundle
+// (name ends in "Metrics"). *obs.Set, *obs.XTracer and the leaf
+// Counter/Gauge/Hist types are excluded — Set's and XTracer's methods
+// are internally nil-safe, and the leaves are only reachable through an
+// already-guarded bundle.
 func isObsBundlePtr(t types.Type) (string, bool) {
 	ptr, ok := t.(*types.Pointer)
 	if !ok {
@@ -42,7 +41,7 @@ func isObsBundlePtr(t types.Type) (string, bool) {
 		return "", false
 	}
 	name := obj.Name()
-	if strings.HasSuffix(name, "Metrics") || name == "Tracer" {
+	if strings.HasSuffix(name, "Metrics") {
 		return name, true
 	}
 	return "", false

@@ -5,8 +5,8 @@ package neg
 import "repro/internal/obs"
 
 type comp struct {
-	m  *obs.PFSMetrics
-	tr *obs.Tracer
+	m *obs.PFSMetrics
+	b *obs.BridgeMetrics
 }
 
 // Guarded is the canonical probe site: one branch per bundle.
@@ -15,8 +15,8 @@ func (c *comp) Guarded(n int64) {
 		c.m.Requests.Inc()
 		c.m.SubRequests.Add(n)
 	}
-	if c.tr != nil {
-		c.tr.Instant(0, 0, "c", "x", 0)
+	if c.b != nil {
+		c.b.Hits.Inc()
 	}
 }
 
@@ -24,11 +24,11 @@ func (c *comp) Guarded(n int64) {
 // the || form whose fallthrough still implies both pointers are
 // non-nil.
 func (c *comp) EarlyReturn() {
-	if c.m == nil || c.tr == nil {
+	if c.m == nil || c.b == nil {
 		return
 	}
 	c.m.Requests.Inc()
-	c.tr.Instant(0, 0, "c", "y", 0)
+	c.b.Hits.Inc()
 }
 
 // ElseBranch guards through the else arm of an == nil test.
@@ -50,8 +50,8 @@ func Param(m *obs.PFSMetrics) {
 
 // Bound binds an accessor result and guards it in the if-init form.
 func Bound(s *obs.Set) {
-	if tr := s.Tracer(); tr != nil {
-		tr.Instant(0, 0, "c", "z", 0)
+	if m := s.PFSMetrics(); m != nil {
+		m.Requests.Inc()
 	}
 }
 

@@ -6,6 +6,7 @@ package cluster
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/blktrace"
 	"repro/internal/core"
@@ -205,7 +206,7 @@ func New(cfg Config) (*Cluster, error) {
 						// virtual fire time, so the Chrome timeline shows
 						// the failure instant amid the request spans it
 						// degrades.
-						tr.Instant(p.Now(), run, fmt.Sprintf("srv%d", srv), "fault.ssdfail", 0)
+						tr.Instant(0, 0, "fault.ssdfail", fmt.Sprintf("run%d/srv%d", run, srv), time.Unix(0, int64(p.Now())))
 					}
 				})
 			}

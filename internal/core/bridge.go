@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/device"
 	"repro/internal/hdd"
@@ -48,19 +49,18 @@ type Bridge struct {
 
 	// Observability sinks; all nil when disabled, so the hot path pays
 	// one branch per decision point.
-	m    *obs.BridgeMetrics
-	tr   *obs.Tracer
-	run  int32
-	comp string
+	m     *obs.BridgeMetrics
+	tr    *obs.XTracer
+	scope string // trace lane, "run<N>/bridge<id>"
 }
 
 // SetObs installs the observability sinks (either may be nil). run
 // labels the cluster instance in trace output. Call before the
 // simulation runs.
-func (b *Bridge) SetObs(m *obs.BridgeMetrics, tr *obs.Tracer, run int32) {
+func (b *Bridge) SetObs(m *obs.BridgeMetrics, tr *obs.XTracer, run int32) {
 	b.m = m
 	b.tr = tr
-	b.run = run
+	b.scope = fmt.Sprintf("run%d/bridge%d", run, b.server)
 }
 
 type stageItem struct {
@@ -90,7 +90,6 @@ func NewBridge(e *sim.Engine, cfg Config, serverID int, disk *hdd.Disk, diskQ, s
 		trk:    newTracker(disk, cfg.EWMAOld, cfg.EWMANew),
 		exch:   exch,
 		alloc:  newLogAlloc(cfg.SSDCapacity/device.SectorSize, cfg.LogStructured, rng),
-		comp:   fmt.Sprintf("bridge%d", serverID),
 	}
 	if exch != nil {
 		exch.Register(b)
@@ -204,7 +203,7 @@ func (b *Bridge) serveRead(p *sim.Proc, r *pfs.IORequest) {
 			b.m.Hits.Inc()
 		}
 		if b.tr != nil {
-			b.tr.Instant(p.Now(), b.run, b.comp, "ssd-hit", r.ID)
+			b.tr.Instant(uint64(r.ID), 0, "ssd-hit", b.scope, time.Unix(0, int64(p.Now())))
 		}
 		return
 	}
@@ -226,7 +225,7 @@ func (b *Bridge) serveRead(p *sim.Proc, r *pfs.IORequest) {
 	b.trk.servedAtDisk(req)
 	b.stats.DiskReadBytes += r.Bytes
 	if b.tr != nil {
-		b.tr.Instant(p.Now(), b.run, b.comp, "disk-read", r.ID)
+		b.tr.Instant(uint64(r.ID), 0, "disk-read", b.scope, time.Unix(0, int64(p.Now())))
 	}
 	// The data is now in memory; if redirecting it would have paid off,
 	// stage it into the SSD during the next idle period so future runs
@@ -235,7 +234,7 @@ func (b *Bridge) serveRead(p *sim.Proc, r *pfs.IORequest) {
 		b.stage = append(b.stage, stageItem{lbn: r.LBN, sectors: r.Sectors, ret: ret, class: classify(r)})
 		b.countOffload(ret, boost)
 		if b.tr != nil {
-			b.tr.Instant(p.Now(), b.run, b.comp, "stage-queued", r.ID)
+			b.tr.Instant(uint64(r.ID), 0, "stage-queued", b.scope, time.Unix(0, int64(p.Now())))
 		}
 	}
 }
@@ -253,7 +252,7 @@ func (b *Bridge) serveWrite(p *sim.Proc, r *pfs.IORequest) {
 					if boost > 0 {
 						name = "ssd-offload-boosted"
 					}
-					b.tr.Instant(p.Now(), b.run, b.comp, name, r.ID)
+					b.tr.Instant(uint64(r.ID), 0, name, b.scope, time.Unix(0, int64(p.Now())))
 				}
 				return
 			}
@@ -262,7 +261,7 @@ func (b *Bridge) serveWrite(p *sim.Proc, r *pfs.IORequest) {
 				b.m.Rejections.Inc()
 			}
 			if b.tr != nil {
-				b.tr.Instant(p.Now(), b.run, b.comp, "ssd-reject", r.ID)
+				b.tr.Instant(uint64(r.ID), 0, "ssd-reject", b.scope, time.Unix(0, int64(p.Now())))
 			}
 		}
 	}
@@ -273,7 +272,7 @@ func (b *Bridge) serveWrite(p *sim.Proc, r *pfs.IORequest) {
 	b.trk.servedAtDisk(req)
 	b.stats.DiskWriteBytes += r.Bytes
 	if b.tr != nil {
-		b.tr.Instant(p.Now(), b.run, b.comp, "disk-write", r.ID)
+		b.tr.Instant(uint64(r.ID), 0, "disk-write", b.scope, time.Unix(0, int64(p.Now())))
 	}
 }
 
@@ -473,7 +472,7 @@ func (b *Bridge) stageOne(p *sim.Proc, it stageItem) {
 		b.m.Stages.Inc()
 	}
 	if b.tr != nil {
-		b.tr.Instant(p.Now(), b.run, b.comp, "staged", 0)
+		b.tr.Instant(0, 0, "staged", b.scope, time.Unix(0, int64(p.Now())))
 	}
 }
 
@@ -532,7 +531,7 @@ func (b *Bridge) FailSSD(p *sim.Proc) {
 	b.ssdFailed = true
 	b.stats.SSDFailures++
 	if b.tr != nil {
-		b.tr.Instant(p.Now(), b.run, b.comp, "ssd-failed", 0)
+		b.tr.Instant(0, 0, "ssd-failed", b.scope, time.Unix(0, int64(p.Now())))
 	}
 }
 

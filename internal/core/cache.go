@@ -239,10 +239,9 @@ func (m *extentMap) dirtyOverlaps(lbn, sectors int64) []segment {
 }
 
 // punched describes the outcome of a punch: entries removed entirely and
-// freed SSD spans (per class, for usage accounting).
+// sectors trimmed per class (for usage accounting).
 type punched struct {
 	removed []*entry
-	freed   []span
 	// freedSectors[class] accumulates sectors trimmed off surviving
 	// (split/shrunk) entries, which stay in their LRU lists.
 	freedSectors [2]int64
@@ -262,7 +261,6 @@ func (m *extentMap) punch(lbn, sectors int64, addMRU func(*entry)) punched {
 		case e.lbn >= lbn && e.end() <= end:
 			// Entirely inside: remove.
 			out.removed = append(out.removed, e)
-			out.freed = append(out.freed, span{at: e.ssdLBN, n: e.sectors})
 			m.removeAt(i)
 			hi--
 		case e.lbn < lbn && e.end() > end:
@@ -278,7 +276,6 @@ func (m *extentMap) punch(lbn, sectors int64, addMRU func(*entry)) punched {
 				class:   e.class,
 				ret:     e.ret,
 			}
-			out.freed = append(out.freed, span{at: e.ssdLBN + leftN, n: cut})
 			out.freedSectors[e.class] += cut
 			e.sectors = leftN
 			m.insert(right)
@@ -287,14 +284,12 @@ func (m *extentMap) punch(lbn, sectors int64, addMRU func(*entry)) punched {
 		case e.lbn < lbn:
 			// Punch cuts e's tail.
 			cut := e.end() - lbn
-			out.freed = append(out.freed, span{at: e.ssdLBN + e.sectors - cut, n: cut})
 			out.freedSectors[e.class] += cut
 			e.sectors -= cut
 			i++
 		default:
 			// Punch cuts e's head.
 			cut := end - e.lbn
-			out.freed = append(out.freed, span{at: e.ssdLBN, n: cut})
 			out.freedSectors[e.class] += cut
 			e.lbn += cut
 			e.ssdLBN += cut

@@ -163,8 +163,8 @@ func TestPunchWholeEntry(t *testing.T) {
 	if len(out.removed) != 1 || m.Len() != 0 {
 		t.Fatalf("punch removed %d entries, map has %d", len(out.removed), m.Len())
 	}
-	if len(out.freed) != 1 || out.freed[0].n != 50 {
-		t.Fatalf("freed = %v", out.freed)
+	if out.removed[0].sectors != 50 || out.freedSectors != ([2]int64{}) {
+		t.Fatalf("removed %d sectors, freedSectors = %v", out.removed[0].sectors, out.freedSectors)
 	}
 }
 

@@ -45,27 +45,23 @@ func TestRenderDeterministicAcrossRuns(t *testing.T) {
 // half of the observability contract: enabling the full instrumentation
 // stack (metrics + tracing + T_i sampling) must render byte-identical
 // tables to a bare run. Probes only read simulation state, so the event
-// order — and therefore every measured quantity — may not shift.
+// order — and therefore every measured quantity — may not shift. The
+// trace export itself must be deterministic too: two observed fig2b
+// runs at jobs=1 must write byte-identical Chrome traces.
 func TestRenderDeterministicUnderObservability(t *testing.T) {
 	if raceEnabled {
-		t.Skip("four instrumented smoke evaluations; under -race the package blows its timeout — the race gate covers the harness via TestRenderDeterministicAcrossJobs")
+		t.Skip("five smoke evaluations, three instrumented; under -race the package blows its timeout — the race gate covers the harness via TestRenderDeterministicAcrossJobs")
 	}
 	defer SetObs(nil)
 	defer runner.SetJobs(0)
-	for _, id := range []string{"fig2b", "fig12"} {
-		SetObs(nil)
-		bare := renderAt(t, id, 0)
-
+	// observe runs id under a fresh observability set at jobs=1 and
+	// returns the rendered table and the Chrome trace export.
+	observe := func(id string) (string, []byte) {
 		set := obs.New(obs.Config{Metrics: true, Trace: true, SampleEvery: 100 * sim.Millisecond})
 		SetObs(set)
-		observed := renderAt(t, id, 0)
-
-		if bare != observed {
-			t.Errorf("%s: observability changed the rendered table:\n--- bare ---\n%s\n--- observed ---\n%s",
-				id, bare, observed)
-		}
+		observed := renderAt(t, id, 1)
 		// The instrumented run must actually have produced telemetry —
-		// otherwise the identity above proves nothing.
+		// otherwise the identity checks prove nothing.
 		if set.Tracer().Len() == 0 {
 			t.Errorf("%s: instrumented run recorded no trace events", id)
 		}
@@ -73,8 +69,8 @@ func TestRenderDeterministicUnderObservability(t *testing.T) {
 			t.Errorf("%s: instrumented run registered no metrics", id)
 		}
 		var buf bytes.Buffer
-		if err := set.Tracer().WriteChrome(&buf); err != nil {
-			t.Fatalf("%s: WriteChrome: %v", id, err)
+		if err := obs.WriteChromeX(&buf, set.Tracer().Events()); err != nil {
+			t.Fatalf("%s: WriteChromeX: %v", id, err)
 		}
 		var chrome struct {
 			TraceEvents []map[string]interface{} `json:"traceEvents"`
@@ -84,6 +80,22 @@ func TestRenderDeterministicUnderObservability(t *testing.T) {
 		}
 		if len(chrome.TraceEvents) == 0 {
 			t.Errorf("%s: Chrome trace export is empty", id)
+		}
+		return observed, buf.Bytes()
+	}
+	for _, id := range []string{"fig2b", "fig12"} {
+		SetObs(nil)
+		bare := renderAt(t, id, 0)
+		observed, trace := observe(id)
+		if bare != observed {
+			t.Errorf("%s: observability changed the rendered table:\n--- bare ---\n%s\n--- observed ---\n%s",
+				id, bare, observed)
+		}
+		if id == "fig2b" {
+			if _, again := observe(id); !bytes.Equal(trace, again) {
+				t.Errorf("%s: two observed runs at jobs=1 exported different Chrome traces (%d vs %d bytes)",
+					id, len(trace), len(again))
+			}
 		}
 	}
 }

@@ -49,7 +49,7 @@ type Config struct {
 type Set struct {
 	cfg     Config
 	reg     *Registry
-	tr      *Tracer
+	tr      *XTracer
 	nextRun atomic.Int32
 	ti      tiList
 }
@@ -65,7 +65,7 @@ func New(cfg Config) *Set {
 		s.reg = NewRegistry()
 	}
 	if cfg.Trace {
-		s.tr = NewTracer(cfg.MaxTraceEvents)
+		s.tr = NewXTracer("sim", cfg.MaxTraceEvents)
 		if s.reg != nil {
 			// Surface overflow in the metrics: a truncated trace should
 			// show up in the registry, not be discovered by its absence.
@@ -83,8 +83,9 @@ func (s *Set) Registry() *Registry {
 	return s.reg
 }
 
-// Tracer returns the request-flow tracer, or nil when tracing is off.
-func (s *Set) Tracer() *Tracer {
+// Tracer returns the request-flow tracer, process "sim", or nil when
+// tracing is off.
+func (s *Set) Tracer() *XTracer {
 	if s == nil {
 		return nil
 	}
@@ -92,7 +93,7 @@ func (s *Set) Tracer() *Tracer {
 }
 
 // NextRun allocates a run id, labelling one cluster instance in the
-// trace (the Chrome trace pid) and the T_i sampler list.
+// trace (the "run<N>/" prefix of its lanes) and the T_i sampler list.
 func (s *Set) NextRun() int32 {
 	if s == nil {
 		return 0

@@ -12,19 +12,23 @@ import (
 	"time"
 )
 
-// This file is the cross-process half of the tracing story. The sim
-// Tracer above stamps events with virtual time inside one process; an
-// XTracer stamps wall-clock spans that carry an explicit
-// {traceID, spanID, parentSpanID} context, so spans emitted by the
-// pfsnet client and by every data server it fans out to can be written
-// to per-process span files and later aligned into one Chrome trace
-// (cmd/ibridge-trace -merge). The trace context itself travels in
-// pfsnet request frames flagged with tagTraceFlag (DESIGN §12).
+// XTracer is the one request-flow tracer, shared by the simulator and
+// the live TCP system. The caller supplies every timestamp: live code
+// passes wall time, the simulator passes virtual time as
+// time.Unix(0, int64(now)), so both halves emit the same XEvent schema.
+// A live span carries an explicit {traceID, spanID, parentSpanID}
+// context, so spans emitted by the pfsnet client and by every data
+// server it fans out to can be written to per-process span files and
+// later aligned into one Chrome trace (cmd/ibridge-trace -merge). The
+// trace context itself travels in pfsnet request frames flagged with
+// tagTraceFlag (DESIGN §12). A simulator event carries its
+// parent-request id in Trace and its "run<N>/<comp>" lane in Scope.
 
-// XEvent is one cross-process trace record: a completed span when
-// Dur > 0, an instant marker when Dur == 0. Start is wall-clock
-// UnixNano; Proc names the emitting logical process (e.g. "client",
-// "srv0") and Scope the lane within it (op class, connection, ...).
+// XEvent is one trace record: a completed span when Dur > 0, an
+// instant marker when Dur == 0. Start is UnixNano of the caller's clock
+// (wall time live, virtual time in the simulator); Proc names the
+// emitting logical process (e.g. "client", "srv0", "sim") and Scope the
+// lane within it (op class, connection, run/component, ...).
 type XEvent struct {
 	Trace  uint64 `json:"trace,omitempty"`
 	Span   uint64 `json:"span,omitempty"`
@@ -51,6 +55,9 @@ type XTracer struct {
 	ids     atomic.Uint64
 	seed    uint64
 }
+
+// DefaultMaxEvents bounds a tracer's buffer when NewXTracer is given 0.
+const DefaultMaxEvents = 1 << 20
 
 // NewXTracer returns a tracer for the named logical process, buffering
 // up to max events (0 uses DefaultMaxEvents).
@@ -106,8 +113,9 @@ func (t *XTracer) SetDropCounter(c *Counter) {
 	t.mu.Unlock()
 }
 
-// Span records a completed span. span must come from NewID; parent is
-// 0 for a root span.
+// Span records a completed span. A live span's id must come from
+// NewID (simulator spans pass 0: their parent-request id in trace and
+// their lane identify them); parent is 0 for a root span.
 func (t *XTracer) Span(trace, span, parent uint64, name, scope string, start time.Time, dur time.Duration) {
 	if t == nil {
 		return
@@ -181,7 +189,9 @@ func (t *XTracer) Dropped() int64 {
 }
 
 // Events returns a copy of the buffered events sorted by
-// (Start, Span, Name) — stable regardless of recording interleave.
+// (Start, Scope, Trace, Span, Name) — stable regardless of recording
+// interleave, so concurrent simulations appending into one buffer still
+// export in a deterministic order.
 func (t *XTracer) Events() []XEvent {
 	if t == nil {
 		return nil
@@ -198,6 +208,12 @@ func sortXEvents(evs []XEvent) {
 	sort.SliceStable(evs, func(i, j int) bool {
 		if evs[i].Start != evs[j].Start {
 			return evs[i].Start < evs[j].Start
+		}
+		if evs[i].Scope != evs[j].Scope {
+			return evs[i].Scope < evs[j].Scope
+		}
+		if evs[i].Trace != evs[j].Trace {
+			return evs[i].Trace < evs[j].Trace
 		}
 		if evs[i].Span != evs[j].Span {
 			return evs[i].Span < evs[j].Span
@@ -237,24 +253,40 @@ func ReadSpans(r io.Reader) ([]XEvent, error) {
 	}
 }
 
-// WriteChromeX merges XEvents — typically read from several
-// per-process span files — into one Chrome trace_event JSON document.
-// Processes map to pids (sorted by name) and scopes within a process
-// to tids; timestamps are normalized so the earliest event across all
-// processes sits at t=0, which is what visually aligns a client's
-// request span with the server-side queue-wait/store/respond child
-// spans it caused. Span/parent/trace ids ride in args.
+// chromeEvent is one entry of the Chrome trace_event JSON format
+// (https://chromium.googlesource.com/catapult trace-viewer), consumable
+// by chrome://tracing and Perfetto.
+type chromeEvent struct {
+	Name  string                 `json:"name"`
+	Phase string                 `json:"ph"`
+	TS    float64                `json:"ts"` // microseconds
+	Dur   *float64               `json:"dur,omitempty"`
+	Pid   int32                  `json:"pid"`
+	Tid   int32                  `json:"tid"`
+	Scope string                 `json:"s,omitempty"`
+	Args  map[string]interface{} `json:"args,omitempty"`
+}
+
+// WriteChromeX writes XEvents — one tracer's Events(), or several
+// per-process span files merged — as one Chrome trace_event JSON
+// document. Processes map to pids (sorted by name) and scopes within a
+// process to tids; timestamps are normalized so the earliest event
+// across all processes sits at t=0, which is what visually aligns a
+// client's request span with the server-side queue-wait/store/respond
+// child spans it caused. Spans become complete ("X") events and
+// instants thread-scoped instant ("i") events; trace/span/parent ids
+// ride in args.
 func WriteChromeX(w io.Writer, evs []XEvent) error {
 	evs = append([]XEvent(nil), evs...)
 	sortXEvents(evs)
 
 	var t0 int64
+	if len(evs) > 0 {
+		t0 = evs[0].Start
+	}
 	procs := map[string]int32{}
 	var procNames []string
 	for _, ev := range evs {
-		if t0 == 0 || ev.Start < t0 {
-			t0 = ev.Start
-		}
 		if _, ok := procs[ev.Proc]; !ok {
 			procs[ev.Proc] = 0
 			procNames = append(procNames, ev.Proc)

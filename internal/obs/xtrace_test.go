@@ -124,6 +124,8 @@ func TestWriteChromeXMerge(t *testing.T) {
 	}
 }
 
+// TestXTracerDropCounter checks the buffer bound: events past max are
+// counted in Dropped and mirrored into the attached counter.
 func TestXTracerDropCounter(t *testing.T) {
 	reg := NewRegistry()
 	tr := NewXTracer("client", 2)
@@ -146,9 +148,9 @@ func TestXTracerDropCounter(t *testing.T) {
 // enables both metrics and tracing.
 func TestTracerDropCounterWired(t *testing.T) {
 	s := New(Config{Metrics: true, Trace: true, MaxTraceEvents: 1})
-	s.Tracer().Instant(0, 1, "c", "a", 1)
-	s.Tracer().Instant(0, 1, "c", "b", 2)
-	s.Tracer().Instant(0, 1, "c", "c", 3)
+	for _, name := range []string{"a", "b", "c"} {
+		s.Tracer().Instant(1, 0, name, "run1/c", time.Unix(0, 0))
+	}
 	if d := s.Tracer().Dropped(); d != 2 {
 		t.Fatalf("Dropped = %d, want 2", d)
 	}
@@ -162,5 +164,97 @@ func TestTracerDropCounterWired(t *testing.T) {
 			keys = append(keys, k)
 		}
 		t.Fatalf("dropped_events not in snapshot: %s", strings.Join(keys, ","))
+	}
+}
+
+// chromeDoc renders evs with WriteChromeX and decodes the document.
+func chromeDoc(t *testing.T, evs []XEvent) []chromeEvent {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteChromeX(&buf, evs); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []chromeEvent `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("export is not valid JSON: %v\n%s", err, buf.String())
+	}
+	return doc.TraceEvents
+}
+
+// TestTracerChromeJSON exports sim-stamped events (virtual nanoseconds
+// passed as time.Unix(0, ns)) from a Set's tracer: X and i phases with
+// ts/dur in µs from virtual time 0, the parent-request id in
+// args.trace, and one lane per run/component under the "sim" process.
+func TestTracerChromeJSON(t *testing.T) {
+	tr := New(Config{Trace: true}).Tracer()
+	vt := func(ns int64) time.Time { return time.Unix(0, ns) }
+	tr.Span(7, 0, 0, "read", "run1/client", vt(1e6), 2*time.Millisecond)
+	tr.Instant(7, 0, "ssd-hit", "run1/bridge0", vt(2e6))
+	tr.Span(1, 0, 0, "write", "run2/client", vt(0), time.Microsecond)
+
+	doc := chromeDoc(t, tr.Events())
+	lanes := map[int32]string{}
+	var procs []string
+	for _, ev := range doc {
+		if ev.Name == "process_name" {
+			procs = append(procs, ev.Args["name"].(string))
+		} else if ev.Name == "thread_name" {
+			lanes[ev.Tid] = ev.Args["name"].(string)
+		}
+	}
+	if len(procs) != 1 || procs[0] != "sim" {
+		t.Errorf("processes = %v, want [sim]", procs)
+	}
+	if len(lanes) != 3 {
+		t.Errorf("lanes = %v, want one per run/component (3)", lanes)
+	}
+	want := map[string]struct {
+		phase, lane, trace string
+		ts, dur            float64
+	}{
+		"write":   {"X", "run2/client", "0000000000000001", 0, 1},
+		"read":    {"X", "run1/client", "0000000000000007", 1000, 2000},
+		"ssd-hit": {"i", "run1/bridge0", "0000000000000007", 2000, 0},
+	}
+	for _, ev := range doc {
+		if ev.Phase == "M" {
+			continue
+		}
+		w, ok := want[ev.Name]
+		if !ok {
+			t.Errorf("unexpected event %q", ev.Name)
+			continue
+		}
+		delete(want, ev.Name)
+		var dur float64
+		if ev.Dur != nil {
+			dur = *ev.Dur
+		}
+		if ev.Phase != w.phase || lanes[ev.Tid] != w.lane || ev.TS != w.ts || dur != w.dur || ev.Args["trace"] != w.trace {
+			t.Errorf("%s: ph=%s lane=%q ts=%g dur=%g args=%v, want ph=%s lane=%q ts=%g dur=%g trace=%s",
+				ev.Name, ev.Phase, lanes[ev.Tid], ev.TS, dur, ev.Args, w.phase, w.lane, w.ts, w.dur, w.trace)
+		}
+	}
+	if len(want) != 0 {
+		t.Errorf("events missing from the export: %v", want)
+	}
+}
+
+// TestWriteChromeXOrigin pins the time origin to the earliest event even
+// when that event sits at Start 0, as every simulator trace does.
+func TestWriteChromeXOrigin(t *testing.T) {
+	got := map[string]float64{}
+	for _, ev := range chromeDoc(t, []XEvent{
+		{Proc: "sim", Name: "later", Start: 1000},
+		{Proc: "sim", Name: "first", Start: 0},
+	}) {
+		if ev.Phase == "i" {
+			got[ev.Name] = ev.TS
+		}
+	}
+	if got["first"] != 0 || got["later"] != 1 {
+		t.Fatalf("ts = %v µs, want first=0 later=1", got)
 	}
 }
