@@ -144,6 +144,26 @@ func TestXTracerDropCounter(t *testing.T) {
 	}
 }
 
+// The simulator's tracer keeps the first max events it is given and
+// counts the rest as dropped; it never evicts what it already holds.
+func TestTracerBufferBound(t *testing.T) {
+	s := New(Config{Trace: true, MaxTraceEvents: 2})
+	tr := s.Tracer()
+	for i := 0; i < 5; i++ {
+		tr.Instant(uint64(i), 0, "e", "run1/c", time.Unix(0, int64(i)))
+	}
+	if tr.Len() != 2 {
+		t.Errorf("Len = %d, want 2", tr.Len())
+	}
+	if tr.Dropped() != 3 {
+		t.Errorf("Dropped = %d, want 3", tr.Dropped())
+	}
+	evs := tr.Events()
+	if len(evs) != 2 || evs[0].Trace != 0 || evs[1].Trace != 1 {
+		t.Errorf("kept events = %+v, want the first two (trace 0 and 1)", evs)
+	}
+}
+
 // The sim tracer's overflow must be mirrored the same way when a Set
 // enables both metrics and tracing.
 func TestTracerDropCounterWired(t *testing.T) {
