@@ -6,7 +6,6 @@ package cluster
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/blktrace"
 	"repro/internal/core"
@@ -196,18 +195,13 @@ func New(cfg Config) (*Cluster, error) {
 			c.Bridges = append(c.Bridges, b)
 			stores[i] = b
 			if at, ok := cfg.Faults.SSDFailAt(fmt.Sprintf("srv%d", i)); ok {
-				br, plan, srv := b, cfg.Faults, i
+				br, plan := b, cfg.Faults
+				// FailSSD records the failure instant ("ssd-failed") on the
+				// bridge's trace lane at its virtual fire time.
 				e.Go(fmt.Sprintf("ssdfail%d", i), func(p *sim.Proc) {
 					p.Sleep(sim.Duration(at))
 					br.FailSSD(p)
 					plan.NoteSSDFail()
-					if tr != nil {
-						// Mirror the injection into the sim trace at its
-						// virtual fire time, so the Chrome timeline shows
-						// the failure instant amid the request spans it
-						// degrades.
-						tr.Instant(0, 0, "fault.ssdfail", fmt.Sprintf("run%d/srv%d", run, srv), time.Unix(0, int64(p.Now())))
-					}
 				})
 			}
 		}

@@ -44,22 +44,24 @@ func TestRenderDeterministicAcrossRuns(t *testing.T) {
 // TestRenderDeterministicUnderObservability checks the zero-perturbation
 // half of the observability contract: enabling the full instrumentation
 // stack (metrics + tracing + T_i sampling) must render byte-identical
-// tables to a bare run. Probes only read simulation state, so the event
-// order — and therefore every measured quantity — may not shift. The
-// trace export itself must be deterministic too: two observed fig2b
-// runs at jobs=1 must write byte-identical Chrome traces.
+// tables to a bare run, both rendered by the parallel runner at its
+// default width. Probes only read simulation state, so the event order — and therefore every measured
+// quantity — may not shift. The trace export itself must be
+// deterministic too: two observed fig2b runs at jobs=1 must write
+// byte-identical Chrome traces (at jobs>1 the run<N> lane numbering
+// follows the order clusters are built in).
 func TestRenderDeterministicUnderObservability(t *testing.T) {
 	if raceEnabled {
-		t.Skip("five smoke evaluations, three instrumented; under -race the package blows its timeout — the race gate covers the harness via TestRenderDeterministicAcrossJobs")
+		t.Skip("six smoke evaluations, four instrumented; under -race the package blows its timeout — the race gate covers the harness via TestRenderDeterministicAcrossJobs")
 	}
 	defer SetObs(nil)
 	defer runner.SetJobs(0)
-	// observe runs id under a fresh observability set at jobs=1 and
-	// returns the rendered table and the Chrome trace export.
-	observe := func(id string) (string, []byte) {
+	// observe runs id under a fresh observability set at the given jobs
+	// setting and returns the rendered table and the Chrome trace export.
+	observe := func(id string, jobs int) (string, []byte) {
 		set := obs.New(obs.Config{Metrics: true, Trace: true, SampleEvery: 100 * sim.Millisecond})
 		SetObs(set)
-		observed := renderAt(t, id, 1)
+		observed := renderAt(t, id, jobs)
 		// The instrumented run must actually have produced telemetry —
 		// otherwise the identity checks prove nothing.
 		if set.Tracer().Len() == 0 {
@@ -86,17 +88,17 @@ func TestRenderDeterministicUnderObservability(t *testing.T) {
 	for _, id := range []string{"fig2b", "fig12"} {
 		SetObs(nil)
 		bare := renderAt(t, id, 0)
-		observed, trace := observe(id)
+		observed, _ := observe(id, 0)
 		if bare != observed {
 			t.Errorf("%s: observability changed the rendered table:\n--- bare ---\n%s\n--- observed ---\n%s",
 				id, bare, observed)
 		}
-		if id == "fig2b" {
-			if _, again := observe(id); !bytes.Equal(trace, again) {
-				t.Errorf("%s: two observed runs at jobs=1 exported different Chrome traces (%d vs %d bytes)",
-					id, len(trace), len(again))
-			}
-		}
+	}
+	_, first := observe("fig2b", 1)
+	_, second := observe("fig2b", 1)
+	if !bytes.Equal(first, second) {
+		t.Errorf("fig2b: two observed runs at jobs=1 exported different Chrome traces (%d vs %d bytes)",
+			len(first), len(second))
 	}
 }
 

@@ -189,9 +189,11 @@ func (t *XTracer) Dropped() int64 {
 }
 
 // Events returns a copy of the buffered events sorted by
-// (Start, Scope, Trace, Span, Name) — stable regardless of recording
-// interleave, so concurrent simulations appending into one buffer still
-// export in a deterministic order.
+// (Start, Scope, Trace, Span, Name), stably. The order does not depend
+// on how concurrent recorders interleaved their appends, but a
+// simulator trace is byte-reproducible only at -jobs 1: with several
+// simulations in flight the run<N> numbering in Scope follows the order
+// their clusters were built in.
 func (t *XTracer) Events() []XEvent {
 	if t == nil {
 		return nil
